@@ -10,7 +10,7 @@ from .attachment import (
 )
 from .complexity import (
     ComplexityReport,
-    column_sigmas,
+    class_sigmas,
     complexity_report,
     hc_global,
     hc_k,
@@ -19,15 +19,7 @@ from .complexity import (
     nhc_k,
 )
 from .generators import ModelSpec, gen_config, gen_er, gen_rgg, gen_rhgg, generate
-from .graph import (
-    Graph,
-    NdsMatrix,
-    build_graph,
-    component_count,
-    degree_support_d2,
-    nds,
-    nds_matrix,
-)
+from .graph import Graph, build_graph, component_count, degree_support_d2, nds
 from .theory import (
     BinomialDistribution,
     TheoryApprox,
@@ -50,9 +42,8 @@ from .workbench import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Graph", "NdsMatrix", "build_graph", "nds", "nds_matrix",
-    "degree_support_d2", "component_count",
-    "column_sigmas", "hc_k", "hc_global", "nhc_k", "nhc_global",
+    "Graph", "build_graph", "nds", "degree_support_d2", "component_count",
+    "class_sigmas", "hc_k", "hc_global", "nhc_k", "nhc_global",
     "nhc_alt_sqrtk", "ComplexityReport", "complexity_report",
     "ModelSpec", "gen_er", "gen_rgg", "gen_rhgg", "gen_config", "generate",
     "BinomialDistribution", "UniformDistribution", "order_stat_sigma",

@@ -200,13 +200,14 @@ def add_edges(g: Graph, mechanism: str, count: int, seed: int) -> Graph:
         wmap = edge_weights(g, mechanism)
         if wmap.pairs.shape[0] < count:
             # candidate set (shared-neighbour pairs) smaller than the batch:
-            # widen to every non-edge, keeping candidate weights.
+            # widen to every non-edge, keeping candidate weights.  Both pair
+            # arrays are lexicographically sorted, so their codes lo*n+hi are
+            # ascending and each candidate is found by binary search.
             full = _all_non_edges(g)
-            key = {(int(a), int(b)): w for (a, b), w in zip(map(tuple, wmap.pairs), wmap.weights)}
-            weights = np.fromiter(
-                (key.get((int(a), int(b)), 0.0) for a, b in full),
-                dtype=np.float64, count=len(full),
-            )
+            pos = np.searchsorted(full[:, 0] * np.int64(g.n) + full[:, 1],
+                                  wmap.pairs[:, 0] * np.int64(g.n) + wmap.pairs[:, 1])
+            weights = np.zeros(len(full), dtype=np.float64)
+            weights[pos] = wmap.weights
             wmap = NonEdgeWeights(full, weights)
         new_pairs = _weighted_sample_without_replacement(wmap.pairs, wmap.weights, count, rng)
     old_codes = g.edge_array()

@@ -1,26 +1,29 @@
 """Degree-class neighbourhood-variability measures.
 
 For each degree k held by at least two nodes, the ascending neighbourhood
-degree sequences of those nodes form an (ell x k) matrix.  The unnormalised
-measure averages the column variances over k; the normalised variant sums
-column standard deviations and divides by (1 - density) * edge_count, which
-removes most of the size/density dependence.  Column statistics use the
-population convention (ddof=0) by default; pass ddof=1 for sample-sd
-sensitivity checks.
+degree sequences of those nodes form an (ell x k) matrix.  One kernel,
+:func:`class_sigmas`, yields the column standard deviations of every such
+matrix in ascending k; each measure is a reduction over it.  The
+unnormalised measure averages the column variances over k; the normalised
+variant sums column standard deviations and divides by (1 - density) *
+edge_count, which removes most of the size/density dependence.  Column
+statistics use the population convention (ddof=0) by default; pass ddof=1
+for sample-sd sensitivity checks.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, NdsMatrix, component_count, degree_support_d2, nds_matrix
+from .graph import Graph, component_count, degree_support_d2
 
 __all__ = [
-    "column_sigmas",
+    "class_sigmas",
     "hc_k",
     "hc_global",
     "nhc_k",
@@ -33,45 +36,63 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 
-def column_sigmas(s: NdsMatrix, ddof: int = 0) -> np.ndarray:
-    """Per-column standard deviations of an NDS matrix.
+def class_sigmas(g: Graph, ddof: int = 0) -> Iterator[tuple[int, int, np.ndarray]]:
+    """Yield ``(k, class_size, sigma)`` for each degree class, ascending k.
 
-    Requires at least two rows; variance over a single observation is
-    undefined in both conventions.
+    The classes are the degrees k >= 1 held by at least two nodes.  ``sigma``
+    holds the k column standard deviations of the class's NDS matrix: one row
+    per degree-k node (ascending id), its neighbour degrees ascending.
     """
-    if s.row_count < 2:
-        raise ValueError(f"variance undefined below two rows (degree {s.degree} has {s.row_count})")
-    return s.rows.astype(np.float64).std(axis=0, ddof=ddof)
+    ks = degree_support_d2(g)
+    if ks.size == 0:
+        return
+    nbr_deg = g.degrees[g.indices]
+    order = np.argsort(g.degrees, kind="stable")  # stable: ids ascend inside a class
+    sorted_deg = g.degrees[order]
+    bounds = np.searchsorted(sorted_deg, np.arange(sorted_deg[-1] + 2))
+    for k in ks:
+        nodes = order[bounds[k] : bounds[k + 1]]
+        gather = g.indptr[nodes][:, None] + np.arange(k, dtype=np.int64)[None, :]
+        rows = nbr_deg[gather]
+        rows.sort(axis=1)
+        yield int(k), int(nodes.size), rows.astype(np.float64).std(axis=0, ddof=ddof)
 
 
-def _check_d2(g: Graph, k: int) -> None:
-    counts = np.bincount(g.degrees)
-    if k < 1 or k >= counts.size or counts[k] < 2:
-        raise ValueError(f"degree {k} is not held by at least two nodes")
+def _class_sigma(g: Graph, k: int, ddof: int) -> np.ndarray:
+    for kk, _, sig in class_sigmas(g, ddof):
+        if kk == k:
+            return sig
+    raise ValueError(f"degree {k} is not held by at least two nodes")
+
+
+def _mean(terms: list[float]) -> float:
+    return math.fsum(terms) / len(terms) if terms else 0.0
+
+
+def _hc_term(sig: np.ndarray, k: int) -> float:
+    return float(np.square(sig).sum() / k)
+
+
+def _warn_above_one(value: float, g: Graph) -> None:
+    if value > 1.0:
+        log.warning("normalised complexity %.6f exceeds 1 (n=%d, m=%d)", value, g.n, g.m)
 
 
 def hc_k(g: Graph, k: int, ddof: int = 0) -> float:
     """Mean column variance of the degree-k NDS matrix."""
-    _check_d2(g, k)
-    sig = column_sigmas(nds_matrix(g, k), ddof=ddof)
-    return float(np.square(sig).sum() / k)
+    return _hc_term(_class_sigma(g, k, ddof), k)
 
 
 def hc_global(g: Graph, ddof: int = 0) -> float:
     """Average of :func:`hc_k` over the supported degrees; 0 when none."""
-    ks = degree_support_d2(g)
-    if ks.size == 0:
-        return 0.0
-    return math.fsum(hc_k(g, int(k), ddof=ddof) for k in ks) / ks.size
+    return _mean([_hc_term(sig, k) for k, _, sig in class_sigmas(g, ddof)])
 
 
 def nhc_k(g: Graph, k: int, ddof: int = 0) -> float:
     """Sum of degree-k column sds over (1 - density) * edge_count."""
     if g.density == 1.0:
         raise ValueError("normalisation singular: density is 1")
-    _check_d2(g, k)
-    sig = column_sigmas(nds_matrix(g, k), ddof=ddof)
-    return float(sig.sum() / ((1.0 - g.density) * g.m))
+    return float(_class_sigma(g, k, ddof).sum() / ((1.0 - g.density) * g.m))
 
 
 def nhc_global(g: Graph, ddof: int = 0) -> float:
@@ -81,12 +102,9 @@ def nhc_global(g: Graph, ddof: int = 0) -> float:
     """
     if g.density == 1.0:
         return 0.0
-    ks = degree_support_d2(g)
-    if ks.size == 0:
-        return 0.0
-    value = math.fsum(nhc_k(g, int(k), ddof=ddof) for k in ks) / ks.size
-    if value > 1.0:
-        log.warning("normalised complexity %.6f exceeds 1 (n=%d, m=%d)", value, g.n, g.m)
+    norm = (1.0 - g.density) * g.m
+    value = _mean([float(sig.sum() / norm) for _, _, sig in class_sigmas(g, ddof)])
+    _warn_above_one(value, g)
     return value
 
 
@@ -99,15 +117,9 @@ def nhc_alt_sqrtk(g: Graph, sqrt_m: bool = False, ddof: int = 0) -> float:
     """
     if g.density == 1.0:
         return 0.0
-    ks = degree_support_d2(g)
-    if ks.size == 0:
-        return 0.0
     denom = (1.0 - g.density) * (math.sqrt(g.m) if sqrt_m else g.m)
-    vals = []
-    for k in ks:
-        sig = column_sigmas(nds_matrix(g, int(k)), ddof=ddof)
-        vals.append(float(sig.sum()) / (math.sqrt(k) * denom))
-    return math.fsum(vals) / ks.size
+    terms = [float(sig.sum()) / (math.sqrt(k) * denom) for k, _, sig in class_sigmas(g, ddof)]
+    return _mean(terms)
 
 
 @dataclass(frozen=True)
@@ -140,44 +152,25 @@ class ComplexityReport:
 
 
 def complexity_report(g: Graph, ddof: int = 0) -> ComplexityReport:
-    """Compute every measure in one grouped pass (ascending degree order).
+    """Compute every measure in one pass over the degree classes.
 
     For complete graphs the normalised columns are reported as 0 (the
     short-circuit value); the unnormalised ones stay well defined.
     """
     complete = g.density == 1.0
+    norm = (1.0 - g.density) * g.m
     per: dict[int, tuple[float, float, int]] = {}
-    r_terms: list[float] = []
-    nhc_terms: list[float] = []
-    ks = degree_support_d2(g)
-    if ks.size:
-        norm = (1.0 - g.density) * g.m if not complete else math.inf
-        nbr_deg = g.degrees[g.indices]
-        order = np.argsort(g.degrees, kind="stable")  # stable: ids ascend inside a class
-        sorted_deg = g.degrees[order]
-        bounds = np.searchsorted(sorted_deg, np.arange(sorted_deg[-1] + 2))
-        for k in ks:
-            nodes = order[bounds[k] : bounds[k + 1]]
-            gather = g.indptr[nodes][:, None] + np.arange(k, dtype=np.int64)[None, :]
-            rows = nbr_deg[gather]
-            rows.sort(axis=1)
-            sig = rows.astype(np.float64).std(axis=0, ddof=ddof)
-            rk = float(np.square(sig).sum() / k)
-            nk = 0.0 if complete else float(sig.sum() / norm)
-            per[int(k)] = (rk, nk, int(nodes.size))
-            r_terms.append(rk)
-            nhc_terms.append(nk)
-    r_global = math.fsum(r_terms) / len(r_terms) if r_terms else 0.0
-    nhc = 0.0 if complete else (math.fsum(nhc_terms) / len(nhc_terms) if nhc_terms else 0.0)
-    if nhc > 1.0:
-        log.warning("normalised complexity %.6f exceeds 1 (n=%d, m=%d)", nhc, g.n, g.m)
+    for k, ell, sig in class_sigmas(g, ddof):
+        per[k] = (_hc_term(sig, k), 0.0 if complete else float(sig.sum() / norm), ell)
+    nhc = 0.0 if complete else _mean([nk for _, nk, _ in per.values()])
+    _warn_above_one(nhc, g)
     return ComplexityReport(
         node_count=g.n,
         edge_count=g.m,
         density=g.density,
         component_count=component_count(g),
         d2_size=len(per),
-        global_unnormalised=r_global,
+        global_unnormalised=_mean([rk for rk, _, _ in per.values()]),
         global_normalised=nhc,
         per_degree=per,
     )

@@ -21,7 +21,7 @@ import hashlib
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -80,7 +80,12 @@ class RunManifest:
         return json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
 
     def sha256(self) -> str:
-        return hashlib.sha256(self.canonical_json().encode()).hexdigest()
+        """Hash of the settings that determine the outputs.
+
+        ``workers`` is hashed as its default: serial and parallel runs emit
+        the same bytes.
+        """
+        return hashlib.sha256(replace(self, workers=0).canonical_json().encode()).hexdigest()
 
     def resolved_workers(self) -> int:
         if self.workers > 0:

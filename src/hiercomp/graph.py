@@ -3,7 +3,9 @@
 The central object of the package is the sorted list of neighbour degrees of
 a node (its neighbourhood degree sequence, NDS).  Adjacency is therefore kept
 as a CSR pair (indptr, indices) with neighbour ids sorted inside each row so
-that NDS extraction is a single gather plus sort over a contiguous slice.
+that NDS extraction is a single gather plus sort over a contiguous slice;
+:func:`hiercomp.complexity.class_sigmas` does it for a whole degree class at
+once.
 """
 
 from __future__ import annotations
@@ -14,10 +16,8 @@ import numpy as np
 
 __all__ = [
     "Graph",
-    "NdsMatrix",
     "build_graph",
     "nds",
-    "nds_matrix",
     "degree_support_d2",
     "component_count",
 ]
@@ -66,21 +66,6 @@ class Graph:
         return np.column_stack((rows[keep], self.indices[keep]))
 
 
-@dataclass(frozen=True)
-class NdsMatrix:
-    """Row-stack of the ascending NDS of every node with a given degree.
-
-    Rows are ordered by ascending node id; shape is (row_count, degree).
-    """
-
-    degree: int
-    rows: np.ndarray
-
-    @property
-    def row_count(self) -> int:
-        return self.rows.shape[0]
-
-
 def build_graph(edges, n_hint: int | None = None) -> Graph:
     """Validate and canonicalise an edge collection into a :class:`Graph`.
 
@@ -111,14 +96,7 @@ def build_graph(edges, n_hint: int | None = None) -> Graph:
     lo = np.minimum(uv[:, 0], uv[:, 1])
     hi = np.maximum(uv[:, 0], uv[:, 1])
     codes = np.unique(lo * np.int64(n) + hi)
-    return _from_pair_codes(n, codes)
-
-
-def _from_pair_codes(n: int, codes: np.ndarray) -> Graph:
-    """Assemble a Graph from unique sorted pair codes lo*n+hi (lo<hi)."""
-    lo = codes // n
-    hi = codes % n
-    return from_unique_pairs(n, lo, hi)
+    return from_unique_pairs(n, codes // n, codes % n)
 
 
 def from_unique_pairs(n: int, lo: np.ndarray, hi: np.ndarray, labels=None) -> Graph:
@@ -148,19 +126,6 @@ def degree_support_d2(g: Graph) -> np.ndarray:
     counts = np.bincount(g.degrees)
     ks = np.flatnonzero(counts >= 2)
     return ks[ks >= 1]
-
-
-def nds_matrix(g: Graph, k: int) -> NdsMatrix:
-    """Stack the NDS rows of every degree-k node (ascending node id)."""
-    if k < 0:
-        raise ValueError("degree must be non-negative")
-    nodes = np.flatnonzero(g.degrees == k)
-    if k == 0 or nodes.size == 0:
-        return NdsMatrix(degree=k, rows=np.empty((0, k), dtype=np.int64))
-    gather = g.indptr[nodes][:, None] + np.arange(k, dtype=np.int64)[None, :]
-    rows = g.degrees[g.indices[gather]]
-    rows.sort(axis=1)
-    return NdsMatrix(degree=k, rows=rows)
 
 
 def component_count(g: Graph) -> int:

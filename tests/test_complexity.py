@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import oracle
 from hiercomp.complexity import (
-    column_sigmas,
+    class_sigmas,
     complexity_report,
     hc_global,
     hc_k,
@@ -20,7 +20,7 @@ from hiercomp.complexity import (
     nhc_k,
 )
 from hiercomp.generators import gen_er
-from hiercomp.graph import build_graph, nds_matrix
+from hiercomp.graph import build_graph
 
 SIX_EDGES = [(0, 1), (1, 2), (2, 3), (1, 3), (3, 4), (4, 5)]
 
@@ -51,6 +51,16 @@ def test_sixnode_frozen_values():
         assert nhc_k(g, k) == pytest.approx(SIX_PER_DEGREE_R_HAT[k], abs=1e-12)
     assert nhc_alt_sqrtk(g, sqrt_m=False) == pytest.approx(SIX_SQRTK, abs=1e-12)
     assert nhc_alt_sqrtk(g, sqrt_m=True) == pytest.approx(SIX_SQRTK_SQRTM, abs=1e-12)
+
+
+def test_class_sigmas_sixnode():
+    g = build_graph(SIX_EDGES)
+    got = [(k, ell, sig.tolist()) for k, ell, sig in class_sigmas(g)]
+    # class 3 holds nodes 1 then 3, with NDS rows [1, 2, 3] and [2, 2, 3]
+    assert got == [(1, 2, [0.5]), (2, 2, [1.0, 0.0]), (3, 2, [0.5, 0.0, 0.0])]
+    # a degree held by a single node is no class
+    star = build_graph([(0, 1), (0, 2), (0, 3)])
+    assert [k for k, _, _ in class_sigmas(star)] == [1]
 
 
 def test_sixnode_exact_rational_cross_check():
@@ -113,9 +123,6 @@ def test_degree_class_guards():
         hc_k(g, 4)
     with pytest.raises(ValueError, match="not held by at least two nodes"):
         nhc_k(g, 0)
-    star = build_graph([(0, 1), (0, 2), (0, 3)])
-    with pytest.raises(ValueError, match="variance undefined below two rows"):
-        column_sigmas(nds_matrix(star, 3))
 
 
 def test_sample_variance_convention_switch():

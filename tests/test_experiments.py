@@ -97,6 +97,7 @@ def test_fig2_parallel_serial_identical(tmp_path):
     s = run_experiment(serial, tmp_path / "s")
     p = run_experiment(parallel, tmp_path / "p")
     assert s[0].read_bytes() == p[0].read_bytes()
+    assert serial.sha256() == parallel.sha256()
 
 
 def test_fig3_grid_rows(tmp_path):

@@ -1,0 +1,149 @@
+"""Golden SHA-256 hashes of experiment CSVs, reports, measures and edge sets.
+
+These hashes guard byte-identical refactors: a change that is meant to keep
+every output unchanged must keep every hash below.  They were recorded with
+Python 3.11.7, numpy 2.4.6 and scipy 1.17.1 on x86-64 and are tied to that
+numpy build; another build may round differently in the last digit, and then
+the hashes are re-recorded from the unchanged code before any refactor.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+
+import numpy as np
+
+from hiercomp.attachment import MECHANISMS, add_edges, edge_weights
+from hiercomp.complexity import complexity_report, hc_global, nhc_alt_sqrtk, nhc_global
+from hiercomp.experiments import RunManifest, run_experiment
+from hiercomp.generators import ModelSpec, child_seed, generate
+from hiercomp.graph import build_graph
+
+P3 = [(0, 1), (1, 2)]
+
+MANIFESTS = {
+    "fig2": RunManifest(experiment="fig2", seed=0, realisations=2, n_range=(30, 80)),
+    "fig4": RunManifest(experiment="fig4", seed=0, realisations=3, n=120),
+    "fig5": RunManifest(
+        experiment="fig5", seed=0, n=120, base_count=1, base_density=0.05,
+        fractions=(0.0, 0.01, 0.02), mechanisms=MECHANISMS,
+    ),
+}
+
+GOLDEN_CSV = {
+    "fig2.csv": "0fd9ac4715a84a37acb7bdd7e678fb60614871dd719f35f4c2997934cc9212bb",
+    "fig4.csv": "010a9e63dfe1e629514aaf9d35c27f1e68e07acd684ea63cb4bba451a01cf625",
+    "fig4_profile.csv": "1e5c5d82db3002490feb4b3a3ca56a02db6e693c282ebf3c6eae2093441e0681",
+    "fig5.csv": "79682d6c5a635552fc476bbbd3f755cda1251a0d9b410c2e7cd09f9b1ed0e821",
+}
+
+GOLDEN_REPORTS = {
+    "sixnode": "04eab8d8f2048adb1a3506b0bd60fa94e186676d525d120ec3e804d2582b9475",
+    "er-40": "7f7f4b5264df97e749f488e20444b2d14b6443c1c3c26fb3584a205376275e08",
+    "er-90": "87cd82b10fabe488269b7625145af4d0cd3b6c27cf2524dc5384079ed426c825",
+    "rgg-40": "fbe15be0b5fa393b40adac1ace1ac41489ec047ae8fffd5ed8f1ae16e1ffb580",
+    "rgg-90": "2d817c467f5d7f37e33d28c1f288633f57115280efedcab1d38316ede7914b91",
+    "rhgg-40": "4c8d3ddac023ccde09577235e7e213da37158337851bf41cc621952a136dacad",
+    "rhgg-90": "c5e775fc31af7bc779872016dc6ba8b0887a6c9eec4ac505655fde2f68fd7f34",
+    "rhg-40": "50c0118ba2fff1178e95fef2965bb361392414b24205b1221c7a8d51f452d8ea",
+    "rhg-90": "72ce46988b6dec3fac5a6e99ff6f0c883f8ac6844bbba031c2f88e6f8f1e3bee",
+}
+
+# repr of [hc_global, nhc_global, sqrt-k, sqrt-k sqrt-m] at ddof 0, then ddof 1
+GOLDEN_MEASURES = {
+    "sixnode": "6d986254b973d5daf586f32358c7c1ef499f1a3d28ae5a4833a8993122577ccc",
+    "er-40": "af13551ee52111e1d62d266343e2753e0658d2984725ec3066982027d29f7242",
+    "er-90": "a678d880e5ae86a461e1d3de1421bdde3099639fabb217b16a0a9cffdef2fb1a",
+    "rgg-40": "48b4d8f8e26aac0d620af818dfb18bca6e54a1051ccdbda079b321226121eaf1",
+    "rgg-90": "082d0618d7f5b408cdc82eed645468681f25d4cf6e8ad35bdf03198ba849cb95",
+    "rhgg-40": "9ea63192d4229659f9290fb0a496be51ddb07070ab3a16a7a8d0e7bf63e69643",
+    "rhgg-90": "3c8d1300250bfe6b99e55a73e2c55b32e04981cfda57e86455a4950ff3ef261a",
+    "rhg-40": "75ffe86b85bfbcd82c2ee4ee48812625c869794291e3601caabce56f5c1f4a3c",
+    "rhg-90": "933322399e39b53b751a2043144472a8eccab63835ed4ca54921276a8ecae8aa",
+}
+
+GOLDEN_EDGES = {
+    "p3-similarity": "7c575f13e65aaedbd8f53c4d08b1c19f84acf7e0f139ef55a790c6bf2ec9146b",
+    "p3-combined": "02b1a41cfe305bf071d7e902c9b3b576b6addcb74717d0deae6a74c6680dc036",
+    "rgg40-similarity": "1e84ca0cab420a64a1b52b9a762c91b5ffbe34061a5def9599675542e632bb8e",
+    "rgg40-combined": "d8068d6d18bff5d884ab41250e76fed5a5ee50b34bf58758cb7b972016e5d378",
+}
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _graphs(sixnode):
+    yield "sixnode", sixnode
+    for i, family in enumerate(("er", "rgg", "rhgg", "rhg")):
+        for j, (n, target) in enumerate(((40, 0.15), (90, 0.05))):
+            spec = ModelSpec(family=family, n=n, target=target, seed=child_seed(7, i, j))
+            yield f"{family}-{n}", generate(spec)
+
+
+def _widening_cases():
+    # candidate sets (shared-neighbour pairs) smaller than the batch
+    yield "p3-similarity", build_graph(P3, n_hint=4), "similarity", 3, 5
+    yield "p3-combined", build_graph(P3, n_hint=4), "combined", 2, 9
+    sparse = generate(ModelSpec(family="rgg", n=40, target=0.03, seed=child_seed(7, 9)))
+    yield "rgg40-similarity", sparse, "similarity", 60, 3
+    yield "rgg40-combined", sparse, "combined", 30, 4
+
+
+def csv_hashes(tmp_path) -> dict[str, str]:
+    out = {}
+    for name, manifest in MANIFESTS.items():
+        for path in run_experiment(manifest, tmp_path / name):
+            if path.suffix == ".csv":
+                out[path.name] = _sha(path.read_bytes())
+    return out
+
+
+def report_hashes(sixnode) -> dict[str, str]:
+    return {
+        name: _sha(json.dumps(complexity_report(g).to_dict(), sort_keys=True).encode())
+        for name, g in _graphs(sixnode)
+    }
+
+
+def measure_hashes(sixnode) -> dict[str, str]:
+    out = {}
+    for name, g in _graphs(sixnode):
+        values = []
+        for ddof in (0, 1):
+            values += [
+                hc_global(g, ddof=ddof),
+                nhc_global(g, ddof=ddof),
+                nhc_alt_sqrtk(g, sqrt_m=False, ddof=ddof),
+                nhc_alt_sqrtk(g, sqrt_m=True, ddof=ddof),
+            ]
+        out[name] = _sha(repr(values).encode())
+    return out
+
+
+def edge_hashes() -> dict[str, str]:
+    out = {}
+    for name, g, mechanism, count, seed in _widening_cases():
+        assert edge_weights(g, mechanism).pairs.shape[0] < count, name
+        h = add_edges(g, mechanism, count, seed)
+        out[name] = _sha(np.ascontiguousarray(h.edge_array(), dtype=np.int64).tobytes())
+    return out
+
+
+def test_experiment_csvs_are_golden(tmp_path):
+    assert csv_hashes(tmp_path) == GOLDEN_CSV
+
+
+def test_complexity_reports_are_golden(sixnode):
+    assert report_hashes(sixnode) == GOLDEN_REPORTS
+
+
+def test_global_measures_are_golden(sixnode):
+    assert measure_hashes(sixnode) == GOLDEN_MEASURES
+
+
+def test_widened_attachment_edges_are_golden():
+    assert edge_hashes() == GOLDEN_EDGES
+

@@ -15,7 +15,6 @@ from hiercomp.graph import (
     degree_support_d2,
     from_unique_pairs,
     nds,
-    nds_matrix,
 )
 
 SIX_EDGES = [(0, 1), (1, 2), (2, 3), (1, 3), (3, 4), (4, 5)]
@@ -116,15 +115,6 @@ def test_degree_support_d2_example():
     # a degree held by a single node is excluded
     star = build_graph([(0, 1), (0, 2), (0, 3)])
     assert degree_support_d2(star).tolist() == [1]
-
-
-def test_nds_matrix_shape_and_rows():
-    g = build_graph(SIX_EDGES)
-    m3 = nds_matrix(g, 3)
-    assert m3.degree == 3 and m3.row_count == 2
-    assert m3.rows.tolist() == [[1, 2, 3], [2, 2, 3]]  # nodes 1 then 3
-    m9 = nds_matrix(g, 9)
-    assert m9.row_count == 0
 
 
 def test_component_count():
