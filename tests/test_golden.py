@@ -17,8 +17,9 @@ import numpy as np
 from hiercomp.attachment import MECHANISMS, add_edges, edge_weights
 from hiercomp.complexity import complexity_report, hc_global, nhc_alt_sqrtk, nhc_global
 from hiercomp.experiments import RunManifest, run_experiment
-from hiercomp.generators import ModelSpec, child_seed, generate
+from hiercomp.generators import ModelSpec, child_seed, gen_config, gen_er, gen_rgg, gen_rhgg, generate
 from hiercomp.graph import build_graph
+from hiercomp.workbench import read_edgelist, write_edgelist
 
 P3 = [(0, 1), (1, 2)]
 
@@ -71,8 +72,48 @@ GOLDEN_EDGES = {
 }
 
 
+# SHA-256 of n, m, indptr, indices, degrees and edge_array() (dtype and bytes),
+# and of the bytes of a written edge-list file
+GOLDEN_CSR = {
+    "sixnode": "72720157212519546556bebc6ccb9a52025c80071f4f28b19f1f892df78257b2",
+    "er-40": "ad518f51638bf93d4bb3db79826eccdb54b70cebfa02cafc646c08b33aa05b3b",
+    "er-90": "9377d52d2f33053c0bf38346b09e79c78f5558865daf09ba4fe10de185185b4e",
+    "rgg-40": "96fb82d64d064e42a2ff9ae74c519e7c9aca15059edbe70cc90dc10a6057a126",
+    "rgg-90": "948315c08cc58015a5f7629f62f301cf4d33c232a00a8fd604afcc3b04933a08",
+    "rhgg-40": "ed377680d70ba9ceb2cbcab459448618147d0361be59d9e8a734698c5cf09c07",
+    "rhgg-90": "532ffa7f56d4122675c5fff94f764ff983b75e9704580f6225d221ab6a8ff440",
+    "rhg-40": "5d4febab0f306dbf9b491039876ffb4b231db2273f59d5c32f730c0c70b41056",
+    "rhg-90": "d26387760dac14318304e18c64002d484c939cef7ff6a15d402b43598fac8c9e",
+    "rhg-60-dense": "e6905c00d25bbb345266468101663b34ac154e2f2114bbd1050c419dcc722510",
+    "er-1-empty": "ee98473907d559bbf6be6036bfbf44343e765064ec7fb35ed86c4fd44b4fe4ea",
+    "rgg-1-empty": "ee98473907d559bbf6be6036bfbf44343e765064ec7fb35ed86c4fd44b4fe4ea",
+    "rhgg-1-empty": "ee98473907d559bbf6be6036bfbf44343e765064ec7fb35ed86c4fd44b4fe4ea",
+    "er-5-empty": "bbd98bcc1a6d5001cfccf0a8ec6a2afb1200019fb22777aa70a21565ec2ede4f",
+    "rgg-5-empty": "bbd98bcc1a6d5001cfccf0a8ec6a2afb1200019fb22777aa70a21565ec2ede4f",
+    "rhgg-5-empty": "bbd98bcc1a6d5001cfccf0a8ec6a2afb1200019fb22777aa70a21565ec2ede4f",
+    "config-zeros": "2a48c30ef732845458e5584712134ce33f6afb38e19e18e25a7e7b3497aa1e40",
+    "build-messy": "c6760f155660a4f335a0131bfe83e9150ce84caffdb387454db19ef7a2b6c9a2",
+    "rgg90-add-random": "9ea5cfac0bbe7ff2b641725531f19cb95f68e9f263fc5db7d3e18c0059ef4cc6",
+    "rgg90-add-hierarchical": "fc2255d5b334f0b7a28dd84840da78680c85853b4e2362e688af3905dd9ca3de",
+    "rgg90-add-similarity": "68460aaa6a320dbb1847696ec4edb26de54f0509f182e3a65a768b2195f9531b",
+    "rgg90-add-combined": "0a31189309f29303cd435e03c61a20c74113e475d2ad2d582843eedfcea1f961",
+    "k2-200-hierarchical": "dd9ae44ac827350d92f1de398d05919ec059d8defbf9cd00bf8b55a76420e414",
+    "rhgg-90-file": "d210a15a0b414db3a2f94015f99b117ec9751d3f239525dd894e387fbdc12791",
+    "rhgg-90-reread": "5f165fb0fb7fa84b27260faef6d7e11ea7cda40b82b4c64d141a464d7da2ea49",
+}
+
+
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def _csr_sha(g) -> str:
+    """Hash of n, m and the dtype and bytes of the CSR arrays and edge array."""
+    h = hashlib.sha256(f"{g.n} {g.m}".encode())
+    for a in (g.indptr, g.indices, g.degrees, g.edge_array()):
+        h.update(a.dtype.str.encode())
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
 
 
 def _graphs(sixnode):
@@ -90,6 +131,33 @@ def _widening_cases():
     sparse = generate(ModelSpec(family="rgg", n=40, target=0.03, seed=child_seed(7, 9)))
     yield "rgg40-similarity", sparse, "similarity", 60, 3
     yield "rgg40-combined", sparse, "combined", 30, 4
+
+
+def _edge_set_cases(sixnode):
+    yield from _graphs(sixnode)
+    # d > 1/2: gen_config pairs the complement and inverts it
+    yield "rhg-60-dense", generate(ModelSpec(family="rhg", n=60, target=0.9, seed=child_seed(7, 8)))
+    for n in (1, 5):
+        yield f"er-{n}-empty", gen_er(n, 0.0, 3)
+        yield f"rgg-{n}-empty", gen_rgg(n, 0.0, 3)
+        yield f"rhgg-{n}-empty", gen_rhgg(n, 0.0, 3)
+    yield "config-zeros", gen_config([0, 0, 0], seed=0)
+    messy = [(4, 1), (1, 4), (2, 2), (0, 3), (3, 0), (1, 0), (4, 1), (0, 2)]
+    yield "build-messy", build_graph(messy, n_hint=7)
+    base = dict(_graphs(sixnode))["rgg-90"]
+    for mechanism in MECHANISMS:
+        yield f"rgg90-add-{mechanism}", add_edges(base, mechanism, 40, 5)
+    # hierarchical weights run out: tops up uniformly among the isolated pairs
+    yield "k2-200-hierarchical", add_edges(build_graph([(0, 1)], n_hint=200), "hierarchical", 400, 6)
+
+
+def csr_hashes(sixnode, tmp_path) -> dict[str, str]:
+    out = {name: _csr_sha(g) for name, g in _edge_set_cases(sixnode)}
+    path = tmp_path / "rhgg-90.txt"
+    write_edgelist(dict(_graphs(sixnode))["rhgg-90"], path)
+    out["rhgg-90-file"] = _sha(path.read_bytes())
+    out["rhgg-90-reread"] = _csr_sha(read_edgelist(path))
+    return out
 
 
 def csv_hashes(tmp_path) -> dict[str, str]:
@@ -147,3 +215,7 @@ def test_global_measures_are_golden(sixnode):
 def test_widened_attachment_edges_are_golden():
     assert edge_hashes() == GOLDEN_EDGES
 
+
+
+def test_edge_sets_are_golden(sixnode, tmp_path):
+    assert csr_hashes(sixnode, tmp_path) == GOLDEN_CSR
