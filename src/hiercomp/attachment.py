@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .complexity import nhc_global
-from .graph import Graph, from_unique_pairs
+from .graph import Graph, complement_codes, from_codes
 
 __all__ = [
     "MECHANISMS",
@@ -39,8 +39,8 @@ log = logging.getLogger(__name__)
 
 MECHANISMS = ("random", "hierarchical", "similarity", "combined")
 
-# Dense non-edge enumeration is O(n^2) memory; beyond this add_edges switches
-# to rejection sampling for the mechanisms that allow it.
+# Dense non-edge enumeration is O(n^2) memory; beyond this add_edges samples
+# by rejection instead.
 _ENUM_LIMIT = 8192
 
 
@@ -59,23 +59,15 @@ class NonEdgeWeights:
         return self.weights / total
 
 
-def _adjacency_bool(g: Graph) -> np.ndarray:
-    adj = np.zeros((g.n, g.n), dtype=bool)
-    rows = np.repeat(np.arange(g.n, dtype=np.int64), g.degrees)
-    adj[rows, g.indices] = True
-    np.fill_diagonal(adj, True)
-    return adj
-
-
 def _all_non_edges(g: Graph) -> np.ndarray:
     if g.n > _ENUM_LIMIT:
         raise ValueError(f"non-edge enumeration capped at n={_ENUM_LIMIT}")
-    lo, hi = np.nonzero(np.triu(~_adjacency_bool(g), k=1))
-    return np.column_stack((lo.astype(np.int64), hi.astype(np.int64)))
+    return complement_codes(g.n, g.codes())
 
 
-def _common_neighbour_pairs(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """Non-adjacent pairs with >= 1 shared neighbour, and the shared counts."""
+def _shared_neighbour_weights(g: Graph, mechanism: str) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending codes of the non-adjacent pairs with >= 1 shared neighbour,
+    weighted by the shared count (combined) or the Jaccard overlap (similarity)."""
     from scipy import sparse
 
     a = sparse.csr_matrix(
@@ -88,9 +80,13 @@ def _common_neighbour_pairs(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     c = sparse.triu(c, k=1).tocsr()
     c = (c - c.multiply(a)).tocoo()
     keep = c.data > 0
-    pairs = np.column_stack((c.row[keep].astype(np.int64), c.col[keep].astype(np.int64)))
-    order = np.lexsort((pairs[:, 1], pairs[:, 0]))
-    return pairs[order], c.data[keep][order]
+    codes = c.row[keep].astype(np.int64) * g.n + c.col[keep]
+    order = np.argsort(codes)
+    codes, counts = codes[order], c.data[keep][order]
+    if mechanism == "similarity":
+        lo, hi = np.divmod(codes, g.n)
+        return codes, counts / (g.degrees[lo] + g.degrees[hi] - counts)
+    return codes, counts.astype(np.float64)
 
 
 def non_edge_count(g: Graph) -> int:
@@ -107,27 +103,31 @@ def edge_weights(g: Graph, mechanism: str) -> NonEdgeWeights:
     if mechanism not in MECHANISMS:
         raise ValueError(f"unknown mechanism {mechanism!r}")
     if mechanism in ("random", "hierarchical"):
-        pairs = _all_non_edges(g)
+        codes = _all_non_edges(g)
         if mechanism == "random":
-            weights = np.ones(len(pairs), dtype=np.float64)
+            weights = np.ones(codes.size, dtype=np.float64)
         else:
-            weights = (g.degrees[pairs[:, 0]] + g.degrees[pairs[:, 1]]).astype(np.float64)
+            weights = (g.degrees[codes // g.n] + g.degrees[codes % g.n]).astype(np.float64)
     else:
-        pairs, counts = _common_neighbour_pairs(g)
-        if mechanism == "similarity":
-            union = g.degrees[pairs[:, 0]] + g.degrees[pairs[:, 1]] - counts
-            weights = counts / union
-        else:
-            weights = counts.astype(np.float64)
-    if weights.sum() <= 0.0 and non_edge_count(g) > 0:
+        codes, weights = _shared_neighbour_weights(g, mechanism)
+    uniform = bool(weights.sum() <= 0.0) and non_edge_count(g) > 0
+    if uniform:
         log.warning("all %s weights zero; falling back to uniform attachment", mechanism)
-        full = _all_non_edges(g)
-        return NonEdgeWeights(full, np.ones(len(full), dtype=np.float64), uniform_fallback=True)
-    return NonEdgeWeights(pairs, weights)
+        codes = _all_non_edges(g)
+        weights = np.ones(codes.size, dtype=np.float64)
+    return NonEdgeWeights(np.column_stack(np.divmod(codes, g.n)), weights, uniform)
+
+
+def _warn_top_up(mechanism: str, n_pos: int, count: int) -> None:
+    if n_pos == 0:
+        log.warning("all %s weights zero; falling back to uniform attachment", mechanism)
+    else:
+        log.warning("only %d positive-weight candidates for %d requested edges; "
+                    "topping up uniformly", n_pos, count)
 
 
 def _weighted_sample_without_replacement(
-    pairs: np.ndarray, weights: np.ndarray, count: int, rng: np.random.Generator
+    codes: np.ndarray, weights: np.ndarray, count: int, rng: np.random.Generator, mechanism: str
 ) -> np.ndarray:
     """Exponential-key trick: smallest count keys of Exp(1)/w."""
     positive = weights > 0
@@ -136,50 +136,81 @@ def _weighted_sample_without_replacement(
     keys[positive] = rng.exponential(size=n_pos) / weights[positive]
     if count <= n_pos:
         sel = np.argpartition(keys, count - 1)[:count]
-        return pairs[sel]
-    log.warning(
-        "only %d positive-weight candidates for %d requested edges; topping up uniformly",
-        n_pos, count,
-    )
+        return codes[sel]
+    _warn_top_up(mechanism, n_pos, count)
     zero_idx = np.flatnonzero(~positive)
     extra = rng.choice(zero_idx, size=count - n_pos, replace=False)
-    return pairs[np.concatenate((np.flatnonzero(positive), extra))]
+    return codes[np.concatenate((np.flatnonzero(positive), extra))]
 
 
-def _rejection_sample(g: Graph, mechanism: str, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform / degree-sum sampling of non-edges without O(n^2) enumeration."""
-    total_deg = int(g.degrees.sum())
-    degree_mode = mechanism == "hierarchical" and total_deg > 0
-    if mechanism == "hierarchical" and total_deg == 0:
-        log.warning("all hierarchical weights zero; falling back to uniform attachment")
-    node_p = g.degrees / total_deg if degree_mode else None
-    chosen: set[tuple[int, int]] = set()
-    out = np.empty((count, 2), dtype=np.int64)
+def _rejection_sample(
+    g: Graph, count: int, rng: np.random.Generator, node_p: np.ndarray | None = None,
+    nodes: np.ndarray | None = None, taken: np.ndarray | None = None,
+) -> np.ndarray:
+    """Codes of ``count`` distinct non-edges, drawn without O(n^2) enumeration.
+
+    With ``node_p`` one end is drawn from it and the other uniformly among
+    the remaining nodes (degree-sum weighting); otherwise both ends are
+    uniform over ``nodes`` (default: every node).  Pairs in ``taken`` are
+    rejected like edges and earlier picks.
+    """
+    n = g.n
+    pool = np.arange(n) if nodes is None else nodes
+    seen = set() if taken is None else set(taken.tolist())
+    out: list[int] = []
     batch = max(1024, 4 * count)
     draws = 0
     limit = 2000 * (count + 100)
-    while len(chosen) < count:
+    while len(out) < count:
         if draws > limit:
             raise RuntimeError("rejection sampling stalled; graph too dense for this path")
         draws += batch
-        if degree_mode:
-            ii = rng.choice(g.n, size=batch, p=node_p)
-            jj = rng.integers(0, g.n - 1, size=batch)
+        if node_p is not None:
+            ii = rng.choice(n, size=batch, p=node_p)
+            jj = rng.integers(0, n - 1, size=batch)
             jj += jj >= ii
         else:
-            ii = rng.integers(0, g.n, size=batch)
-            jj = rng.integers(0, g.n, size=batch)
+            ii = pool[rng.integers(0, pool.size, size=batch)]
+            jj = pool[rng.integers(0, pool.size, size=batch)]
         for i, j in zip(ii.tolist(), jj.tolist()):
-            if i == j:
+            code = i * n + j if i < j else j * n + i
+            if i == j or code in seen or g.has_edge(i, j):
                 continue
-            pair = (i, j) if i < j else (j, i)
-            if pair in chosen or g.has_edge(*pair):
-                continue
-            out[len(chosen)] = pair
-            chosen.add(pair)
-            if len(chosen) == count:
+            seen.add(code)
+            out.append(code)
+            if len(out) == count:
                 break
-    return out
+    return np.array(out, dtype=np.int64)
+
+
+def _sample_large(g: Graph, mechanism: str, count: int, rng: np.random.Generator) -> np.ndarray:
+    """``add_edges``' draw above ``_ENUM_LIMIT``, where non-edges are not enumerated.
+
+    As on the enumerated path, when fewer non-edges have positive weight
+    than requested, all of them are taken and the rest are drawn uniformly
+    among the zero-weight ones.
+    """
+    if mechanism == "random":
+        return _rejection_sample(g, count, rng)
+    if mechanism == "hierarchical":
+        active = np.flatnonzero(g.degrees)
+        isolated = np.flatnonzero(g.degrees == 0)
+        if count <= non_edge_count(g) - isolated.size * (isolated.size - 1) // 2:
+            return _rejection_sample(g, count, rng, node_p=g.degrees / g.degrees.sum())
+        # every non-edge touching an active node, then pairs of isolated nodes
+        iu, ju = np.triu_indices(active.size, k=1)
+        inner = np.setdiff1d(active[iu] * g.n + active[ju], g.codes(), assume_unique=True)
+        a, b = np.repeat(active, isolated.size), np.tile(isolated, active.size)
+        chosen = np.concatenate((inner, np.minimum(a, b) * g.n + np.maximum(a, b)))
+        nodes, taken = isolated, None
+    else:
+        chosen, weights = _shared_neighbour_weights(g, mechanism)
+        if chosen.size >= count:
+            return _weighted_sample_without_replacement(chosen, weights, count, rng, mechanism)
+        nodes, taken = None, chosen
+    _warn_top_up(mechanism, chosen.size, count)
+    extra = _rejection_sample(g, count - chosen.size, rng, nodes=nodes, taken=taken)
+    return np.concatenate((chosen, extra))
 
 
 def add_edges(g: Graph, mechanism: str, count: int, seed: int) -> Graph:
@@ -194,29 +225,23 @@ def add_edges(g: Graph, mechanism: str, count: int, seed: int) -> Graph:
     if count == 0:
         return g
     rng = np.random.default_rng(seed)
-    if mechanism in ("random", "hierarchical") and g.n > _ENUM_LIMIT:
-        new_pairs = _rejection_sample(g, mechanism, count, rng)
+    if g.n > _ENUM_LIMIT:
+        new = _sample_large(g, mechanism, count, rng)
     else:
         wmap = edge_weights(g, mechanism)
-        if wmap.pairs.shape[0] < count:
+        codes, weights = wmap.pairs[:, 0] * g.n + wmap.pairs[:, 1], wmap.weights
+        if codes.size < count:
             # candidate set (shared-neighbour pairs) smaller than the batch:
-            # widen to every non-edge, keeping candidate weights.  Both pair
-            # arrays are lexicographically sorted, so their codes lo*n+hi are
-            # ascending and each candidate is found by binary search.
+            # widen to every non-edge, keeping candidate weights.
             full = _all_non_edges(g)
-            pos = np.searchsorted(full[:, 0] * np.int64(g.n) + full[:, 1],
-                                  wmap.pairs[:, 0] * np.int64(g.n) + wmap.pairs[:, 1])
-            weights = np.zeros(len(full), dtype=np.float64)
-            weights[pos] = wmap.weights
-            wmap = NonEdgeWeights(full, weights)
-        new_pairs = _weighted_sample_without_replacement(wmap.pairs, wmap.weights, count, rng)
-    old_codes = g.edge_array()
-    old = old_codes[:, 0] * np.int64(g.n) + old_codes[:, 1]
-    new = new_pairs[:, 0] * np.int64(g.n) + new_pairs[:, 1]
-    codes = np.unique(np.concatenate((old, new)))
+            weights = np.zeros(full.size, dtype=np.float64)
+            weights[np.searchsorted(full, codes)] = wmap.weights
+            codes = full
+        new = _weighted_sample_without_replacement(codes, weights, count, rng, mechanism)
+    codes = np.unique(np.concatenate((g.codes(), new)))
     if codes.size != g.m + count:
         raise AssertionError("attachment produced an overlapping edge")
-    return from_unique_pairs(g.n, codes // g.n, codes % g.n)
+    return from_codes(g.n, codes)
 
 
 class SweepStep(NamedTuple):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, from_unique_pairs
+from .graph import Graph, complement_codes, from_codes
 
 __all__ = [
     "ModelSpec",
@@ -80,16 +80,8 @@ def gen_er(n: int, p: float, seed: int) -> Graph:
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
     rng = np.random.default_rng(seed)
-    los: list[np.ndarray] = []
-    his: list[np.ndarray] = []
-    for i in range(n - 1):
-        hits = np.flatnonzero(rng.random(n - 1 - i) < p)
-        if hits.size:
-            los.append(np.full(hits.size, i, dtype=np.int64))
-            his.append(hits.astype(np.int64) + i + 1)
-    lo = np.concatenate(los) if los else np.empty(0, dtype=np.int64)
-    hi = np.concatenate(his) if his else np.empty(0, dtype=np.int64)
-    return from_unique_pairs(n, lo, hi)
+    rows = [np.flatnonzero(rng.random(n - 1 - i) < p) + (i * n + i + 1) for i in range(n - 1)]
+    return from_codes(n, np.concatenate(rows) if rows else np.empty(0, np.int64))
 
 
 def _distinct_points(n: int, dims: int, rng: np.random.Generator) -> np.ndarray:
@@ -132,7 +124,7 @@ def _geometric_top_m(pts: np.ndarray, m: int, strengths: np.ndarray | None) -> G
     """
     n = pts.shape[0]
     if m == 0:
-        return from_unique_pairs(n, np.empty(0, np.int64), np.empty(0, np.int64))
+        return from_codes(n, np.empty(0, np.int64))
     best_w = np.empty(0, dtype=np.float64)
     best_c = np.empty(0, dtype=np.int64)
     block = max(1, 2_000_000 // max(n, 1))
@@ -147,21 +139,25 @@ def _geometric_top_m(pts: np.ndarray, m: int, strengths: np.ndarray | None) -> G
         w = inv if strengths is None else inv * (strengths[ii] + strengths[jj])
         c = ii * np.int64(n) + jj
         best_w, best_c = _keep_top(np.concatenate((best_w, w)), np.concatenate((best_c, c)), m)
-    order = np.argsort(best_c, kind="stable")
-    codes = best_c[order]
-    return from_unique_pairs(n, codes // n, codes % n)
+    return from_codes(n, np.sort(best_c))
 
 
 def _pair_target(n: int, density: float) -> int:
     return int(round(density * n * (n - 1) / 2))
 
 
-def gen_rgg(n: int, density: float, seed: int, dims: int = 3) -> Graph:
-    """Geometric graph: the m closest pairs of n uniform points are edges."""
+def _check_geometric(n: int, density: float, dims: int) -> None:
     if n < 1:
         raise ValueError("n must be positive")
     if not 0.0 <= density <= 1.0:
         raise ValueError("density must lie in [0, 1]")
+    if dims < 1:
+        raise ValueError("dims must be positive")
+
+
+def gen_rgg(n: int, density: float, seed: int, dims: int = 3) -> Graph:
+    """Geometric graph: the m closest pairs of n uniform points are edges."""
+    _check_geometric(n, density, dims)
     rng = np.random.default_rng(seed)
     pts = _distinct_points(n, dims, rng)
     return _geometric_top_m(pts, _pair_target(n, density), None)
@@ -180,10 +176,7 @@ def gen_rhgg(
     Coordinates are drawn before strengths, so at sigma=0 the edge set
     coincides with :func:`gen_rgg` for the same seed.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
-    if not 0.0 <= density <= 1.0:
-        raise ValueError("density must lie in [0, 1]")
+    _check_geometric(n, density, dims)
     if lognormal_sigma < 0:
         raise ValueError("lognormal_sigma must be non-negative")
     rng = np.random.default_rng(seed)
@@ -215,46 +208,31 @@ def gen_config(degree_sequence, seed: int) -> Graph:
         raise ValueError("max degree must be below n")
     rng = np.random.default_rng(seed)
     if n >= 2 and int(deg.sum()) > n * (n - 1) // 2:
-        comp = _pair_and_repair(n - 1 - deg, rng)
-        present = np.zeros((n, n), dtype=bool)
-        if comp:
-            cu = np.fromiter((e[0] for e in comp), dtype=np.int64, count=len(comp))
-            cv = np.fromiter((e[1] for e in comp), dtype=np.int64, count=len(comp))
-            present[cu, cv] = True
-            present[cv, cu] = True
-        np.fill_diagonal(present, True)
-        lo, hi = np.nonzero(np.triu(~present, k=1))
-        return from_unique_pairs(n, lo.astype(np.int64), hi.astype(np.int64))
-    edges = _pair_and_repair(deg, rng)
-    if not edges:
-        return from_unique_pairs(n, np.empty(0, np.int64), np.empty(0, np.int64))
-    arr = np.sort(np.asarray(edges, dtype=np.int64), axis=1)
-    order = np.lexsort((arr[:, 1], arr[:, 0]))
-    arr = arr[order]
-    return from_unique_pairs(n, arr[:, 0], arr[:, 1])
+        return from_codes(n, complement_codes(n, _pair_and_repair(n - 1 - deg, rng)))
+    return from_codes(n, _pair_and_repair(deg, rng))
 
 
-def _pair_and_repair(deg: np.ndarray, rng: np.random.Generator) -> list[tuple[int, int]]:
-    stubs = np.repeat(np.arange(deg.size, dtype=np.int64), deg)
+def _pair_and_repair(deg: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Ascending pair codes of a simple graph with degree sequence deg."""
+    n = deg.size
+    stubs = np.repeat(np.arange(n, dtype=np.int64), deg)
     rng.shuffle(stubs)
     half = stubs.reshape(-1, 2)
-    edges: list[tuple[int, int]] = [
-        (int(a), int(b)) if a <= b else (int(b), int(a)) for a, b in half
-    ]
+    edges: list[int] = (half.min(axis=1) * n + half.max(axis=1)).tolist()
     m = len(edges)
     if m == 0:
-        return edges
-    count: Counter[tuple[int, int]] = Counter(edges)
+        return np.empty(0, np.int64)
+    count: Counter[int] = Counter(edges)
 
-    def is_bad(pair: tuple[int, int]) -> bool:
-        return pair[0] == pair[1] or count[pair] > 1
+    def is_bad(code: int) -> bool:
+        return code % (n + 1) == 0 or count[code] > 1  # u*n + u = u*(n+1)
 
     max_attempts = 100 * m
     attempts = 0
     while True:
-        bad = [idx for idx, pair in enumerate(edges) if is_bad(pair)]
+        bad = [idx for idx, code in enumerate(edges) if is_bad(code)]
         if not bad:
-            return edges
+            return np.sort(np.array(edges, dtype=np.int64))
         for idx in bad:
             if not is_bad(edges[idx]):
                 continue
@@ -265,14 +243,14 @@ def _pair_and_repair(deg: np.ndarray, rng: np.random.Generator) -> list[tuple[in
                 j = int(rng.integers(m))
                 if j == idx:
                     continue
-                a, b = edges[idx]
-                c, d = edges[j]
+                a, b = divmod(edges[idx], n)
+                c, d = divmod(edges[j], n)
                 if rng.random() < 0.5:
                     c, d = d, c
                 if a == c or b == d:
                     continue
-                q1 = (a, c) if a < c else (c, a)
-                q2 = (b, d) if b < d else (d, b)
+                q1 = a * n + c if a < c else c * n + a
+                q2 = b * n + d if b < d else d * n + b
                 if q1 == q2 or count[q1] >= 1 or count[q2] >= 1:
                     continue
                 count[edges[idx]] -= 1

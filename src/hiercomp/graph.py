@@ -6,6 +6,10 @@ as a CSR pair (indptr, indices) with neighbour ids sorted inside each row so
 that NDS extraction is a single gather plus sort over a contiguous slice;
 :func:`hiercomp.complexity.class_sigmas` does it for a whole degree class at
 once.
+
+Edge sets travel between modules in one format: ascending unique int64 pair
+codes ``u * n + v`` with u < v.  :func:`from_codes` is the only way from
+codes to a :class:`Graph` and :meth:`Graph.codes` the way back.
 """
 
 from __future__ import annotations
@@ -17,6 +21,8 @@ import numpy as np
 __all__ = [
     "Graph",
     "build_graph",
+    "from_codes",
+    "complement_codes",
     "nds",
     "degree_support_d2",
     "component_count",
@@ -59,11 +65,15 @@ class Graph:
         pos = np.searchsorted(row, j)
         return pos < row.size and row[pos] == j
 
-    def edge_array(self) -> np.ndarray:
-        """Canonical (m, 2) edge array: u < v, lexicographically ascending."""
+    def codes(self) -> np.ndarray:
+        """Ascending pair codes u * n + v (u < v) of the edges."""
         rows = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees)
         keep = self.indices > rows
-        return np.column_stack((rows[keep], self.indices[keep]))
+        return rows[keep] * self.n + self.indices[keep]
+
+    def edge_array(self) -> np.ndarray:
+        """Canonical (m, 2) edge array: u < v, lexicographically ascending."""
+        return np.column_stack(np.divmod(self.codes(), self.n))
 
 
 def build_graph(edges, n_hint: int | None = None) -> Graph:
@@ -91,29 +101,39 @@ def build_graph(edges, n_hint: int | None = None) -> Graph:
         n = int(n_hint)
     else:
         n = max_id + 1
-    keep = uv[:, 0] != uv[:, 1]
-    uv = uv[keep]
-    lo = np.minimum(uv[:, 0], uv[:, 1])
-    hi = np.maximum(uv[:, 0], uv[:, 1])
-    codes = np.unique(lo * np.int64(n) + hi)
-    return from_unique_pairs(n, codes // n, codes % n)
+    uv = uv[uv[:, 0] != uv[:, 1]]
+    return from_codes(n, np.unique(uv.min(axis=1) * np.int64(n) + uv.max(axis=1)))
 
 
-def from_unique_pairs(n: int, lo: np.ndarray, hi: np.ndarray, labels=None) -> Graph:
-    """Fast constructor for edges already unique with lo < hi.
+def from_codes(n: int, codes: np.ndarray, labels=None) -> Graph:
+    """Graph on n nodes from ascending unique pair codes u * n + v, u < v.
 
-    Generators use this to skip the dedup pass of :func:`build_graph`.
+    Row i holds its lower neighbours, then its upper ones, each ascending.
+    Codes ascend by (u, v), so the upper neighbours of u are one run of
+    codes, and a stable sort by v lines up the lower neighbours of v.  A
+    code's place in its run is its rank minus the rank of the run's head.
     """
-    m = lo.size
-    rows = np.concatenate((lo, hi))
-    cols = np.concatenate((hi, lo))
-    degrees = np.bincount(rows, minlength=n).astype(np.int64)
+    n = int(n)
+    lo, hi = np.divmod(np.asarray(codes, dtype=np.int64), n)
+    n_upper = np.bincount(lo, minlength=n)
+    n_lower = np.bincount(hi, minlength=n)
+    degrees = n_lower + n_upper
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(degrees, out=indptr[1:])
-    order = np.lexsort((cols, rows))
-    indices = cols[order]
-    return Graph(n=int(n), m=int(m), indptr=indptr, indices=indices,
+    rank = np.arange(lo.size)
+    indices = np.empty(2 * lo.size, dtype=np.int64)
+    indices[(indptr[:-1] + n_lower - np.cumsum(n_upper) + n_upper)[lo] + rank] = hi
+    by_hi = np.argsort(hi, kind="stable")
+    indices[(indptr[:-1] - np.cumsum(n_lower) + n_lower)[hi[by_hi]] + rank] = lo[by_hi]
+    return Graph(n=n, m=int(lo.size), indptr=indptr, indices=indices,
                  degrees=degrees, labels=labels)
+
+
+def complement_codes(n: int, codes: np.ndarray) -> np.ndarray:
+    """Ascending codes of the pairs on n nodes that are not in ``codes``."""
+    absent = np.triu(np.ones((n, n), dtype=bool), k=1).ravel()
+    absent[codes] = False
+    return np.flatnonzero(absent)
 
 
 def nds(g: Graph, i: int) -> np.ndarray:

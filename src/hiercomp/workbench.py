@@ -79,7 +79,7 @@ def read_edgelist(path, format_hint: str | None = None) -> Graph:
 def write_edgelist(g: Graph, path) -> None:
     """Canonical text form: node-count header then ascending 'u v' lines."""
     out = [f"# nodes: {g.n} edges: {g.m}"]
-    out.extend(f"{u} {v}" for u, v in g.edge_array())
+    out.extend(f"{u} {v}" for u, v in g.edge_array().tolist())
     Path(path).write_text("\n".join(out) + "\n")
 
 

@@ -162,6 +162,39 @@ def test_large_empty_graph_hierarchical_degrades_to_uniform(caplog):
     assert "all hierarchical weights zero" in caplog.text
 
 
+def test_large_graph_shared_neighbour_mechanisms_top_up(caplog):
+    # above the enumeration limit: one shared-neighbour candidate for 3 edges
+    g = build_graph(P3, n_hint=9001)
+    for mechanism in ("similarity", "combined"):
+        with caplog.at_level(logging.WARNING, logger="hiercomp.attachment"):
+            h = add_edges(g, mechanism, 3, seed=5)
+        assert h.m == g.m + 3
+        assert h.has_edge(0, 2)
+        assert np.array_equal(h.codes(), add_edges(g, mechanism, 3, seed=5).codes())
+    assert "topping up uniformly" in caplog.text
+
+
+def test_large_graph_without_shared_neighbours_falls_back_to_uniform(caplog):
+    g = build_graph(TWO_DISJOINT, n_hint=9001)
+    for mechanism in ("similarity", "combined"):
+        with caplog.at_level(logging.WARNING, logger="hiercomp.attachment"):
+            h = add_edges(g, mechanism, 5, seed=1)
+        assert h.m == g.m + 5
+    assert "all similarity weights zero" in caplog.text
+    assert "all combined weights zero" in caplog.text
+
+
+def test_large_graph_hierarchical_takes_every_weighted_pair_then_tops_up(caplog):
+    # K2 plus 8999 isolated nodes: only 17998 non-edges have positive weight
+    g = build_graph([(0, 1)], n_hint=9001)
+    with caplog.at_level(logging.WARNING, logger="hiercomp.attachment"):
+        h = add_edges(g, "hierarchical", 18000, seed=2)
+    assert h.m == g.m + 18000
+    assert h.degrees[0] == h.degrees[1] == 9000
+    assert int(h.degrees[2:].sum()) == 2 * 8999 + 4  # 2 top-up edges among the isolated
+    assert "only 17998 positive-weight candidates" in caplog.text
+
+
 def test_density_sweep_baseline_and_targets():
     g = gen_er(200, 0.05, child_seed(0, 777))
     fractions = (0.0, 0.01, 0.02, 0.05)

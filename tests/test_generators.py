@@ -19,6 +19,15 @@ from hiercomp.generators import (
 from hiercomp.graph import build_graph
 
 
+CONFIG_ERRORS = {
+    "degree sequence must be non-empty",
+    "degrees must be non-negative",
+    "degree sum must be even",
+    "max degree must be below n",
+    "non-graphical or repair exhausted",
+}
+
+
 def pair_count(n):
     return n * (n - 1) // 2
 
@@ -76,6 +85,14 @@ def test_rgg_determinism_and_dims():
     assert np.array_equal(a.edge_array(), b.edge_array())
     c = gen_rgg(80, 0.2, seed=9, dims=3)
     assert not np.array_equal(a.edge_array(), c.edge_array())
+
+
+@pytest.mark.parametrize("dims", [0, -1])
+def test_geometric_generators_reject_non_positive_dims(dims):
+    with pytest.raises(ValueError, match="dims must be positive"):
+        gen_rgg(50, 0.1, seed=0, dims=dims)
+    with pytest.raises(ValueError, match="dims must be positive"):
+        gen_rhgg(50, 0.1, seed=0, dims=dims)
 
 
 def test_rgg_clusters_more_than_er():
@@ -151,10 +168,8 @@ def test_config_degree_contract_or_clean_error(degs):
     """Any sequence either realises exactly or raises a clear error."""
     try:
         g = gen_config(degs, seed=8)
-    except ValueError:
-        return
-    except RuntimeError as exc:
-        assert "non-graphical or repair exhausted" in str(exc)
+    except ValueError as exc:
+        assert str(exc) in CONFIG_ERRORS
         return
     assert g.degrees.tolist() == degs
 

@@ -13,7 +13,7 @@ from hiercomp.graph import (
     build_graph,
     component_count,
     degree_support_d2,
-    from_unique_pairs,
+    from_codes,
     nds,
 )
 
@@ -83,13 +83,16 @@ def test_edge_array_round_trips():
     assert np.array_equal(again.degrees, g.degrees)
 
 
-def test_from_unique_pairs_matches_build_graph():
-    lo = np.array([0, 1, 1], dtype=np.int64)
-    hi = np.array([1, 2, 3], dtype=np.int64)
-    a = from_unique_pairs(4, lo, hi)
-    b = build_graph(list(zip(lo.tolist(), hi.tolist())))
+def test_from_codes_matches_build_graph():
+    codes = np.array([0 * 4 + 1, 1 * 4 + 2, 1 * 4 + 3], dtype=np.int64)
+    a = from_codes(4, codes)
+    b = build_graph([(0, 1), (1, 2), (1, 3)])
     assert np.array_equal(a.indptr, b.indptr)
     assert np.array_equal(a.indices, b.indices)
+    assert a.indices.dtype == np.int64 and a.degrees.dtype == np.int64
+    assert a.codes().tolist() == codes.tolist() == b.codes().tolist()
+    empty = from_codes(3, np.empty(0, np.int64))
+    assert (empty.m, empty.degrees.tolist(), empty.indptr.tolist()) == (0, [0, 0, 0], [0, 0, 0, 0])
 
 
 def test_graph_arrays_are_read_only():
@@ -133,6 +136,17 @@ def test_degree_sum_is_twice_edge_count(edges):
     assert int(g.degrees.sum()) == 2 * g.m
     adj = oracle.adjacency(g.n, [tuple(e) for e in g.edge_array().tolist()])
     assert g.m == oracle.edge_count(adj)
+
+
+@given(small_edge_sets())
+@settings(max_examples=120, deadline=None)
+def test_rows_are_strictly_ascending_and_match_oracle(edges):
+    g = build_graph(edges)
+    adj = oracle.adjacency(g.n, edges)
+    for i in range(g.n):
+        row = g.neighbors(i).tolist()
+        assert all(a < b for a, b in zip(row, row[1:]))
+        assert set(row) == adj[i]
 
 
 @given(small_edge_sets())
