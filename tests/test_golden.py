@@ -11,8 +11,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
+
+if __name__ == "__main__":  # run as a script from a checkout
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from hiercomp.attachment import MECHANISMS, add_edges, edge_weights
 from hiercomp.complexity import complexity_report, hc_global, nhc_alt_sqrtk, nhc_global
@@ -102,6 +108,17 @@ GOLDEN_CSR = {
     "rhgg-90-reread": "5f165fb0fb7fa84b27260faef6d7e11ea7cda40b82b4c64d141a464d7da2ea49",
 }
 
+# add_edges above n = 8192, where random and hierarchical sample by rejection
+GOLDEN_LARGE = {
+    "er9000-random": "4f3b4d1e2828b587fa6f0a487563c7a93fa5021f6e38502050da5af25046d46b",
+    "er9000-hierarchical": "918582e9e97401dbe242f3defa30a13571a0ce981f78dba40fd1c1898b6fae30",
+    "er9000-similarity": "cf8a76f0efc40119dd25cb55df2e99f59728d09a0478ab442ef183d306351a9c",
+    "er9000-combined": "0119b808f4d164acc5185a710610d8d54609a8b65249b5f64294c658559e63f4",
+    "empty9000-hierarchical": "e79fc7269319f93c6f068af92227193651123f5e7be844819bf0a913a5d0831b",
+    "disjoint9001-similarity": "ff6102c94a6a5d6b395dea61ce76c44b769c8c01cdfa38281072f4b80756dc4f",
+    "disjoint9001-combined": "ff6102c94a6a5d6b395dea61ce76c44b769c8c01cdfa38281072f4b80756dc4f",
+}
+
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -149,6 +166,20 @@ def _edge_set_cases(sixnode):
         yield f"rgg90-add-{mechanism}", add_edges(base, mechanism, 40, 5)
     # hierarchical weights run out: tops up uniformly among the isolated pairs
     yield "k2-200-hierarchical", add_edges(build_graph([(0, 1)], n_hint=200), "hierarchical", 400, 6)
+
+
+def _large_cases():
+    base = gen_er(9000, 0.0003, child_seed(0, 900))
+    for mechanism in MECHANISMS:
+        yield f"er9000-{mechanism}", add_edges(base, mechanism, 40, 3)
+    yield "empty9000-hierarchical", add_edges(build_graph([], n_hint=9000), "hierarchical", 5, 1)
+    disjoint = build_graph([(0, 1), (2, 3)], n_hint=9001)
+    for mechanism in ("similarity", "combined"):
+        yield f"disjoint9001-{mechanism}", add_edges(disjoint, mechanism, 5, 1)
+
+
+def large_hashes() -> dict[str, str]:
+    return {name: _csr_sha(g) for name, g in _large_cases()}
 
 
 def csr_hashes(sixnode, tmp_path) -> dict[str, str]:
@@ -216,6 +247,29 @@ def test_widened_attachment_edges_are_golden():
     assert edge_hashes() == GOLDEN_EDGES
 
 
-
 def test_edge_sets_are_golden(sixnode, tmp_path):
     assert csr_hashes(sixnode, tmp_path) == GOLDEN_CSR
+
+
+def test_large_attachment_is_golden():
+    assert large_hashes() == GOLDEN_LARGE
+
+
+def _print_dict(name: str, hashes: dict[str, str]) -> None:
+    print(f"{name} = {{")
+    for key, value in hashes.items():
+        print(f"    {key!r}: {value!r},".replace("'", '"'))
+    print("}\n")
+
+
+if __name__ == "__main__":
+    # Print every GOLDEN_* dict as the current code computes it, ready to paste
+    # above when a change re-keys an output on purpose.
+    six = read_edgelist(Path(__file__).parent / "fixtures" / "sixnode.txt")
+    with tempfile.TemporaryDirectory() as tmp:
+        _print_dict("GOLDEN_CSV", csv_hashes(Path(tmp)))
+        _print_dict("GOLDEN_REPORTS", report_hashes(six))
+        _print_dict("GOLDEN_MEASURES", measure_hashes(six))
+        _print_dict("GOLDEN_EDGES", edge_hashes())
+        _print_dict("GOLDEN_CSR", csr_hashes(six, Path(tmp)))
+        _print_dict("GOLDEN_LARGE", large_hashes())
