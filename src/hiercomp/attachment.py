@@ -7,16 +7,17 @@ Four rules assign weights to currently absent pairs:
 * ``similarity``    -- Jaccard overlap |g_i & g_j| / |g_i | g_j|.
 * ``combined``      -- raw common-neighbour count |g_i & g_j|.
 
-Selection probability is weight over total weight; an all-zero step falls
-back to uniform with a logged notice.  Batch steps sample without
-replacement against the weights frozen at the start of the step; sweeps
-recompute weights between steps.
+Selection probability is weight over total weight.  A weight map lists
+only the non-edges of positive weight; when a batch asks for more edges than
+it lists, all of them are taken and the rest are drawn uniformly among the
+other non-edges, and a map with none falls back to uniform attachment with a
+logged notice.  Batch steps sample without replacement against the weights
+frozen at the start of the step; sweeps recompute weights between steps.
 """
 
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -39,30 +40,50 @@ log = logging.getLogger(__name__)
 
 MECHANISMS = ("random", "hierarchical", "similarity", "combined")
 
-# Dense non-edge enumeration is O(n^2) memory; beyond this add_edges samples
-# by rejection instead.
+# Listing every non-edge is O(n^2) memory: edge_weights lists at most as many
+# pairs as a graph on this many nodes has, and above it add_edges draws random
+# and hierarchical pairs by rejection instead.
 _ENUM_LIMIT = 8192
 
 
 @dataclass(frozen=True)
 class NonEdgeWeights:
-    """Sparse weight map over non-edges: absent pairs carry weight 0."""
+    """Positive weights of non-edges; a non-edge that is not listed weighs 0.
 
-    pairs: np.ndarray  # (M, 2), i < j
-    weights: np.ndarray  # (M,)
+    Under the uniform fallback every non-edge weighs 1; above n = 8192 the
+    fallback lists none of them.
+    """
+
+    codes: np.ndarray  # ascending pair codes u * n + v, u < v
+    weights: np.ndarray  # > 0
     uniform_fallback: bool = False
 
-    def probabilities(self) -> np.ndarray:
-        total = self.weights.sum()
-        if total <= 0:
-            raise ValueError("no positive weights")
-        return self.weights / total
+
+def _check_cap(pairs: int) -> None:
+    if pairs > _ENUM_LIMIT * (_ENUM_LIMIT - 1) // 2:
+        raise ValueError(f"non-edge enumeration capped at n={_ENUM_LIMIT}")
 
 
 def _all_non_edges(g: Graph) -> np.ndarray:
-    if g.n > _ENUM_LIMIT:
-        raise ValueError(f"non-edge enumeration capped at n={_ENUM_LIMIT}")
+    _check_cap(g.n * (g.n - 1) // 2)
     return complement_codes(g.n, g.codes())
+
+
+def _hierarchical_weights(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending codes of the non-edges with a non-isolated end, weighted by
+    degree sum.  Above n = 8192 they are built from the non-isolated nodes."""
+    if g.n <= _ENUM_LIMIT:
+        codes = _all_non_edges(g)
+    else:
+        active, isolated = np.flatnonzero(g.degrees), np.flatnonzero(g.degrees == 0)
+        _check_cap(active.size * (active.size - 1) // 2 + active.size * isolated.size)
+        iu, ju = np.triu_indices(active.size, k=1)
+        a, b = np.repeat(active, isolated.size), np.tile(isolated, active.size)
+        pairs = (active[iu] * g.n + active[ju], np.minimum(a, b) * g.n + np.maximum(a, b))
+        codes = np.setdiff1d(np.concatenate(pairs), g.codes())
+    weights = (g.degrees[codes // g.n] + g.degrees[codes % g.n]).astype(np.float64)
+    keep = weights > 0
+    return codes[keep], weights[keep]
 
 
 def _shared_neighbour_weights(g: Graph, mechanism: str) -> tuple[np.ndarray, np.ndarray]:
@@ -94,68 +115,43 @@ def non_edge_count(g: Graph) -> int:
 
 
 def edge_weights(g: Graph, mechanism: str) -> NonEdgeWeights:
-    """Attachment weights over the non-edges of g.
+    """Positive attachment weights over the non-edges of g.
 
-    similarity/combined enumerate only pairs with shared neighbours (all
-    other non-edges weigh 0); if no candidate has positive weight the whole
-    map degrades to uniform over every non-edge, with a logged notice.
+    random lists every non-edge and hierarchical every non-edge with a
+    non-isolated end; similarity/combined list the pairs with shared
+    neighbours.  A map that lists none degrades to uniform over every
+    non-edge, with a logged notice.  Listing more candidate pairs than a
+    graph on 8192 nodes has raises ``ValueError``.
     """
     if mechanism not in MECHANISMS:
         raise ValueError(f"unknown mechanism {mechanism!r}")
-    if mechanism in ("random", "hierarchical"):
-        codes = _all_non_edges(g)
-        if mechanism == "random":
-            weights = np.ones(codes.size, dtype=np.float64)
-        else:
-            weights = (g.degrees[codes // g.n] + g.degrees[codes % g.n]).astype(np.float64)
-    else:
-        codes, weights = _shared_neighbour_weights(g, mechanism)
-    uniform = bool(weights.sum() <= 0.0) and non_edge_count(g) > 0
-    if uniform:
-        log.warning("all %s weights zero; falling back to uniform attachment", mechanism)
+    if mechanism == "random":
         codes = _all_non_edges(g)
         weights = np.ones(codes.size, dtype=np.float64)
-    return NonEdgeWeights(np.column_stack(np.divmod(codes, g.n)), weights, uniform)
-
-
-def _warn_top_up(mechanism: str, n_pos: int, count: int) -> None:
-    if n_pos == 0:
-        log.warning("all %s weights zero; falling back to uniform attachment", mechanism)
+    elif mechanism == "hierarchical":
+        codes, weights = _hierarchical_weights(g)
     else:
-        log.warning("only %d positive-weight candidates for %d requested edges; "
-                    "topping up uniformly", n_pos, count)
-
-
-def _weighted_sample_without_replacement(
-    codes: np.ndarray, weights: np.ndarray, count: int, rng: np.random.Generator, mechanism: str
-) -> np.ndarray:
-    """Exponential-key trick: smallest count keys of Exp(1)/w."""
-    positive = weights > 0
-    n_pos = int(positive.sum())
-    keys = np.full(weights.size, np.inf)
-    keys[positive] = rng.exponential(size=n_pos) / weights[positive]
-    if count <= n_pos:
-        sel = np.argpartition(keys, count - 1)[:count]
-        return codes[sel]
-    _warn_top_up(mechanism, n_pos, count)
-    zero_idx = np.flatnonzero(~positive)
-    extra = rng.choice(zero_idx, size=count - n_pos, replace=False)
-    return codes[np.concatenate((np.flatnonzero(positive), extra))]
+        codes, weights = _shared_neighbour_weights(g, mechanism)
+    if codes.size or non_edge_count(g) == 0:
+        return NonEdgeWeights(codes, weights)
+    log.warning("all %s weights zero; falling back to uniform attachment", mechanism)
+    if g.n > _ENUM_LIMIT:
+        return NonEdgeWeights(codes, weights, uniform_fallback=True)
+    codes = _all_non_edges(g)
+    return NonEdgeWeights(codes, np.ones(codes.size, dtype=np.float64), uniform_fallback=True)
 
 
 def _rejection_sample(
     g: Graph, count: int, rng: np.random.Generator, node_p: np.ndarray | None = None,
-    nodes: np.ndarray | None = None, taken: np.ndarray | None = None,
+    taken: np.ndarray | None = None,
 ) -> np.ndarray:
     """Codes of ``count`` distinct non-edges, drawn without O(n^2) enumeration.
 
     With ``node_p`` one end is drawn from it and the other uniformly among
     the remaining nodes (degree-sum weighting); otherwise both ends are
-    uniform over ``nodes`` (default: every node).  Pairs in ``taken`` are
-    rejected like edges and earlier picks.
+    uniform.  Pairs in ``taken`` are rejected like edges and earlier picks.
     """
     n = g.n
-    pool = np.arange(n) if nodes is None else nodes
     seen = set() if taken is None else set(taken.tolist())
     out: list[int] = []
     batch = max(1024, 4 * count)
@@ -170,8 +166,8 @@ def _rejection_sample(
             jj = rng.integers(0, n - 1, size=batch)
             jj += jj >= ii
         else:
-            ii = pool[rng.integers(0, pool.size, size=batch)]
-            jj = pool[rng.integers(0, pool.size, size=batch)]
+            ii = rng.integers(0, n, size=batch)
+            jj = rng.integers(0, n, size=batch)
         for i, j in zip(ii.tolist(), jj.tolist()):
             code = i * n + j if i < j else j * n + i
             if i == j or code in seen or g.has_edge(i, j):
@@ -183,38 +179,35 @@ def _rejection_sample(
     return np.array(out, dtype=np.int64)
 
 
-def _sample_large(g: Graph, mechanism: str, count: int, rng: np.random.Generator) -> np.ndarray:
-    """``add_edges``' draw above ``_ENUM_LIMIT``, where non-edges are not enumerated.
+def _draw(
+    g: Graph, codes: np.ndarray, weights: np.ndarray, count: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Codes of ``count`` distinct non-edges, by successive sampling on ``weights``.
 
-    As on the enumerated path, when fewer non-edges have positive weight
-    than requested, all of them are taken and the rest are drawn uniformly
-    among the zero-weight ones.
+    The smallest ``count`` keys Exp(1)/w win (Efraimidis & Spirakis, IPL
+    97(5), 2006).  When fewer pairs are listed, all are taken and the rest
+    are drawn uniformly among the other non-edges.
     """
-    if mechanism == "random":
-        return _rejection_sample(g, count, rng)
-    if mechanism == "hierarchical":
-        active = np.flatnonzero(g.degrees)
-        isolated = np.flatnonzero(g.degrees == 0)
-        if count <= non_edge_count(g) - isolated.size * (isolated.size - 1) // 2:
-            return _rejection_sample(g, count, rng, node_p=g.degrees / g.degrees.sum())
-        # every non-edge touching an active node, then pairs of isolated nodes
-        iu, ju = np.triu_indices(active.size, k=1)
-        inner = np.setdiff1d(active[iu] * g.n + active[ju], g.codes(), assume_unique=True)
-        a, b = np.repeat(active, isolated.size), np.tile(isolated, active.size)
-        chosen = np.concatenate((inner, np.minimum(a, b) * g.n + np.maximum(a, b)))
-        nodes, taken = isolated, None
+    keys = rng.exponential(size=codes.size) / weights
+    if count <= codes.size:
+        return codes[np.argpartition(keys, count - 1)[:count]]
+    if codes.size:
+        log.warning("only %d positive-weight candidates for %d requested edges; "
+                    "topping up uniformly", codes.size, count)
+    if g.n <= _ENUM_LIMIT:
+        others = np.setdiff1d(_all_non_edges(g), codes, assume_unique=True)
+        extra = rng.choice(others, size=count - codes.size, replace=False)
     else:
-        chosen, weights = _shared_neighbour_weights(g, mechanism)
-        if chosen.size >= count:
-            return _weighted_sample_without_replacement(chosen, weights, count, rng, mechanism)
-        nodes, taken = None, chosen
-    _warn_top_up(mechanism, chosen.size, count)
-    extra = _rejection_sample(g, count - chosen.size, rng, nodes=nodes, taken=taken)
-    return np.concatenate((chosen, extra))
+        extra = _rejection_sample(g, count - codes.size, rng, taken=codes)
+    return np.concatenate((codes, extra))
 
 
 def add_edges(g: Graph, mechanism: str, count: int, seed: int) -> Graph:
-    """New graph with ``count`` extra edges drawn by the given mechanism."""
+    """New graph with ``count`` extra edges drawn by the given mechanism.
+
+    Above n = 8192, random and hierarchical draw by rejection without
+    listing non-edges, unless hierarchical must take every pair it weighs.
+    """
     if mechanism not in MECHANISMS:
         raise ValueError(f"unknown mechanism {mechanism!r}")
     if count < 0:
@@ -225,23 +218,18 @@ def add_edges(g: Graph, mechanism: str, count: int, seed: int) -> Graph:
     if count == 0:
         return g
     rng = np.random.default_rng(seed)
-    if g.n > _ENUM_LIMIT:
-        new = _sample_large(g, mechanism, count, rng)
+    iso = int(np.count_nonzero(g.degrees == 0))
+    if g.n > _ENUM_LIMIT and (mechanism == "random" or (
+            mechanism == "hierarchical" and count <= avail - iso * (iso - 1) // 2)):
+        node_p = g.degrees / g.degrees.sum() if mechanism == "hierarchical" else None
+        new = _rejection_sample(g, count, rng, node_p=node_p)
     else:
         wmap = edge_weights(g, mechanism)
-        codes, weights = wmap.pairs[:, 0] * g.n + wmap.pairs[:, 1], wmap.weights
-        if codes.size < count:
-            # candidate set (shared-neighbour pairs) smaller than the batch:
-            # widen to every non-edge, keeping candidate weights.
-            full = _all_non_edges(g)
-            weights = np.zeros(full.size, dtype=np.float64)
-            weights[np.searchsorted(full, codes)] = wmap.weights
-            codes = full
-        new = _weighted_sample_without_replacement(codes, weights, count, rng, mechanism)
+        new = _draw(g, wmap.codes, wmap.weights, count, rng)
     codes = np.unique(np.concatenate((g.codes(), new)))
     if codes.size != g.m + count:
         raise AssertionError("attachment produced an overlapping edge")
-    return from_codes(g.n, codes)
+    return from_codes(g.n, codes, labels=g.labels)
 
 
 class SweepStep(NamedTuple):

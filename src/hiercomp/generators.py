@@ -65,6 +65,13 @@ class ModelSpec:
             raise ValueError("dims must be positive")
         if self.lognormal_sigma < 0:
             raise ValueError("lognormal_sigma must be non-negative")
+        if self.degree_sequence is not None:
+            if self.family != "rhg":
+                raise ValueError(f"degree_sequence applies to rhg only, not {self.family!r}")
+            if len(self.degree_sequence) != self.n:
+                raise ValueError(
+                    f"degree_sequence has {len(self.degree_sequence)} entries for n={self.n}"
+                )
 
 
 def child_seed(seed: int, *path: int) -> int:

@@ -20,6 +20,7 @@ from hiercomp.attachment import (
 from hiercomp.complexity import nhc_global
 from hiercomp.generators import child_seed, gen_er
 from hiercomp.graph import build_graph
+from hiercomp.workbench import read_edgelist
 
 P3 = [(0, 1), (1, 2)]
 C4 = [(0, 1), (1, 2), (2, 3), (3, 0)]
@@ -28,10 +29,9 @@ SIX = [(0, 1), (1, 2), (2, 3), (1, 3), (3, 4), (4, 5)]
 TWO_DISJOINT = [(0, 1), (2, 3)]
 
 
-def weight_dict(wmap: NonEdgeWeights) -> dict[tuple[int, int], float]:
+def weight_dict(wmap: NonEdgeWeights, n: int) -> dict[tuple[int, int], float]:
     return {
-        (int(a), int(b)): float(w)
-        for (a, b), w in zip(wmap.pairs.tolist(), wmap.weights.tolist())
+        divmod(code, n): w for code, w in zip(wmap.codes.tolist(), wmap.weights.tolist())
     }
 
 
@@ -40,6 +40,7 @@ def graphs_for_cross_check():
     yield build_graph(C4)
     yield build_graph(STAR5)
     yield build_graph(SIX)
+    yield build_graph([(0, 1)], n_hint=4)  # pair (2, 3) of isolated nodes weighs 0
     rng = np.random.default_rng(42)
     for _ in range(6):
         n = 6
@@ -58,26 +59,20 @@ def test_edge_weights_match_definition(mechanism):
         if wmap.uniform_fallback:
             assert all(v == 0.0 for v in expected.values())
             continue
-        got = weight_dict(wmap)
+        assert (wmap.weights > 0).all()
+        assert (np.diff(wmap.codes) > 0).all()
+        got = weight_dict(wmap, g.n)
         for pair, w in got.items():
             assert w == pytest.approx(expected[pair], abs=1e-12)
         missing = set(expected) - set(got)
         assert all(expected[p] == 0.0 for p in missing)
 
 
-def test_probabilities_normalised():
-    g = build_graph(SIX)
-    for mechanism in MECHANISMS:
-        p = edge_weights(g, mechanism).probabilities()
-        assert p.sum() == pytest.approx(1.0, abs=1e-9)
-        assert (p >= 0).all()
-
-
 def test_random_weights_are_uniform():
     g = build_graph(C4)
     wmap = edge_weights(g, "random")
     assert (wmap.weights == 1.0).all()
-    assert len(wmap.pairs) == non_edge_count(g) == 2
+    assert wmap.codes.size == non_edge_count(g) == 2
 
 
 def test_no_overlap_graphs_fall_back_to_uniform(caplog):
@@ -86,15 +81,31 @@ def test_no_overlap_graphs_fall_back_to_uniform(caplog):
         with caplog.at_level(logging.WARNING, logger="hiercomp.attachment"):
             wmap = edge_weights(g, mechanism)
         assert wmap.uniform_fallback
-        assert len(wmap.pairs) == non_edge_count(g) == 4
+        assert wmap.codes.size == non_edge_count(g) == 4
         assert (wmap.weights == 1.0).all()
     assert "falling back to uniform attachment" in caplog.text
 
 
-def test_probabilities_reject_all_zero_weights():
-    wmap = NonEdgeWeights(np.array([[0, 1]]), np.array([0.0]))
-    with pytest.raises(ValueError, match="no positive weights"):
-        wmap.probabilities()
+def test_enumeration_cap_above_8192_nodes():
+    g = gen_er(9000, 0.0003, child_seed(0, 900))
+    for mechanism in ("random", "hierarchical"):
+        with pytest.raises(ValueError, match="capped at n=8192"):
+            edge_weights(g, mechanism)
+    # only the 17998 pairs touching node 0 or 1 are listed
+    wmap = edge_weights(build_graph([(0, 1)], n_hint=9001), "hierarchical")
+    assert wmap.codes.size == 17998 and (wmap.weights == 1.0).all()
+    # the uniform fallback lists no pairs up there
+    wmap = edge_weights(build_graph(TWO_DISJOINT, n_hint=9001), "similarity")
+    assert wmap.uniform_fallback and wmap.codes.size == 0
+
+
+def test_add_edges_keeps_labels(tmp_path):
+    path = tmp_path / "labelled.txt"
+    path.write_text("a b\nb c\nc d\nx y\n")
+    g = read_edgelist(path)
+    assert g.labels is not None
+    for mechanism in MECHANISMS:
+        assert add_edges(g, mechanism, 2, seed=0).labels == g.labels
 
 
 def test_add_edges_counts_and_determinism():

@@ -78,6 +78,19 @@ def test_generate_rhg_with_degree_file(tmp_path, capsys):
     assert sorted(g.degrees.tolist(), reverse=True) == [3, 3, 2, 2, 1, 1]
 
 
+def test_generate_rejects_mismatched_degree_file(tmp_path, capsys):
+    degs = tmp_path / "degrees.txt"
+    degs.write_text("1 1 2 2\n")
+    out = tmp_path / "g.txt"
+    for family, n, message in (("rhg", "10", "4 entries for n=10"), ("er", "4", "rhg only")):
+        assert main([
+            "generate", "--family", family, "--n", n, "--density", "0.4",
+            "--degrees", str(degs), "--output", str(out),
+        ]) == 2
+        assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_theory_stdout(capsys):
     assert main(["theory", "500", "0.002"]) == 0
     captured = capsys.readouterr()

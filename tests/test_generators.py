@@ -219,6 +219,14 @@ def test_modelspec_validation():
         generate(ModelSpec(family="rgg", n=10, target=0.1, dims=0))
 
 
+def test_modelspec_rejects_mismatched_degree_sequence():
+    with pytest.raises(ValueError, match="4 entries for n=10"):
+        generate(ModelSpec(family="rhg", n=10, degree_sequence=(1, 1, 2, 2)))
+    for family in ("er", "rgg", "rhgg"):
+        with pytest.raises(ValueError, match="rhg only"):
+            generate(ModelSpec(family=family, n=4, target=0.5, degree_sequence=(1, 1, 2, 2)))
+
+
 def test_geometric_families_have_no_duplicate_edges():
     for fam in ("rgg", "rhgg"):
         g = generate(ModelSpec(family=fam, n=70, target=0.4, seed=16))

@@ -5,6 +5,8 @@ every output unchanged must keep every hash below.  They were recorded with
 Python 3.11.7, numpy 2.4.6 and scipy 1.17.1 on x86-64 and are tied to that
 numpy build; another build may round differently in the last digit, and then
 the hashes are re-recorded from the unchanged code before any refactor.
+``python3 tests/test_golden.py`` prints every dict below as the current code
+computes it.
 """
 
 from __future__ import annotations
@@ -117,6 +119,9 @@ GOLDEN_LARGE = {
     "empty9000-hierarchical": "e79fc7269319f93c6f068af92227193651123f5e7be844819bf0a913a5d0831b",
     "disjoint9001-similarity": "ff6102c94a6a5d6b395dea61ce76c44b769c8c01cdfa38281072f4b80756dc4f",
     "disjoint9001-combined": "ff6102c94a6a5d6b395dea61ce76c44b769c8c01cdfa38281072f4b80756dc4f",
+    "p3pad9001-similarity": "3c55403240f923051c5711f7663981c1f472001b4deae5c872e4b497a1a3aa7d",
+    "p3pad9001-combined": "3c55403240f923051c5711f7663981c1f472001b4deae5c872e4b497a1a3aa7d",
+    "k2pad9001-hierarchical": "808b52e2c3af4901eaf652aa9fa5cf57fecee5348582391b854f5fa0741265d0",
 }
 
 
@@ -176,6 +181,12 @@ def _large_cases():
     disjoint = build_graph([(0, 1), (2, 3)], n_hint=9001)
     for mechanism in ("similarity", "combined"):
         yield f"disjoint9001-{mechanism}", add_edges(disjoint, mechanism, 5, 1)
+    # too few positive-weight pairs: take them all, then top up uniformly
+    p3 = build_graph(P3, n_hint=9001)
+    for mechanism in ("similarity", "combined"):
+        yield f"p3pad9001-{mechanism}", add_edges(p3, mechanism, 3, 5)
+    k2 = build_graph([(0, 1)], n_hint=9001)
+    yield "k2pad9001-hierarchical", add_edges(k2, "hierarchical", 18000, 2)
 
 
 def large_hashes() -> dict[str, str]:
@@ -225,7 +236,7 @@ def measure_hashes(sixnode) -> dict[str, str]:
 def edge_hashes() -> dict[str, str]:
     out = {}
     for name, g, mechanism, count, seed in _widening_cases():
-        assert edge_weights(g, mechanism).pairs.shape[0] < count, name
+        assert edge_weights(g, mechanism).codes.size < count, name
         h = add_edges(g, mechanism, count, seed)
         out[name] = _sha(np.ascontiguousarray(h.edge_array(), dtype=np.int64).tobytes())
     return out
