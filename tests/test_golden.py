@@ -1,4 +1,4 @@
-"""Golden SHA-256 hashes of experiment CSVs, reports, measures and edge sets.
+"""Golden SHA-256 hashes of experiment CSVs, reports, measures, edge sets and IO.
 
 These hashes guard byte-identical refactors: a change that is meant to keep
 every output unchanged must keep every hash below.  They were recorded with
@@ -124,6 +124,17 @@ GOLDEN_LARGE = {
     "k2pad9001-hierarchical": "808b52e2c3af4901eaf652aa9fa5cf57fecee5348582391b854f5fa0741265d0",
 }
 
+# read_edgelist (CSR, n and labels), write_edgelist bytes, build_graph on
+# 100k shuffled, duplicated, reversed and self-loop pairs
+GOLDEN_IO = {
+    "mm-banner-values": "fb863d3290d87b8449d5ae37e34e3943e63e0823924e3e739beb8f007dbfe36f",
+    "labels-comments-hint": "70694274518da951cdacb9ed8cc97acbcc3df2dd80935b5838f5095bf005052f",
+    "mm-hint-no-banner": "e0de29b4f1c24dc663526fc644ce2a1d88a835bb6ea702e1cebdea60e76c651f",
+    "write-trailing-isolated": "d6e665863a82fc6c40fd53bb2798bac793e5fcfd5cd34766d6ebfd0d2390eed5",
+    "write-empty": "80fee807df30e94469ed313133ee32f8404749847c0f464c75e3804babf6add1",
+    "build-100k-shuffled": "5d5e885f09a4a7804ef5157ece48732b6102caba8fcb993a9a0416873bebab38",
+}
+
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -187,6 +198,55 @@ def _large_cases():
         yield f"p3pad9001-{mechanism}", add_edges(p3, mechanism, 3, 5)
     k2 = build_graph([(0, 1)], n_hint=9001)
     yield "k2pad9001-hierarchical", add_edges(k2, "hierarchical", 18000, 2)
+
+
+def _io_files():
+    """(name, format_hint, text) of edge-list files covering every reader rule."""
+    rng = np.random.default_rng(61)
+    rows = [f"{u} {v} {w!r}" if k % 3 else f"{u} {v}"
+            for k, (u, v, w) in enumerate(zip(
+                rng.integers(1, 121, 400).tolist(), rng.integers(1, 121, 400).tolist(),
+                rng.random(400).round(4).tolist()))]
+    yield "mm-banner-values", None, (
+        "%%MatrixMarket matrix coordinate real symmetric\n% generated\n"
+        "120 120 400\n" + "\n".join(rows) + "\n")
+    words = [f"w{i}" for i in rng.permutation(90).tolist()] + ["alpha", "b-2", "Z.z"]
+    lines = ["# nodes: 40 (superseded)", "% a percent comment", ""]
+    for k in range(600):
+        a, b = (words[i] for i in rng.integers(0, len(words), 2).tolist())
+        if k % 7 == 0:
+            b = a  # self-loop
+        lines.append(f"  {b} {a}" if k % 5 == 0 else f"{a}\t {b}  ")
+        if k % 11 == 0:
+            lines.append(lines[-1])  # duplicate pair
+        if k % 97 == 0:
+            lines += ["", "   ", "#   nodes: 150", "% not a hint"]
+    yield "labels-comments-hint", None, "\n".join(lines) + "\n"
+    body = [f"{u} {v}" if k % 2 else f"{u} {v} 1.5"
+            for k, (u, v) in enumerate(zip(rng.integers(1, 60, 200).tolist(),
+                                           rng.integers(1, 60, 200).tolist()))]
+    yield "mm-hint-no-banner", "matrixmarket", "% no banner\n59 59 200\n" + "\n".join(body) + "\n"
+
+
+def io_hashes(tmp_path) -> dict[str, str]:
+    out = {}
+    for name, hint, text in _io_files():
+        path = tmp_path / f"{name}.txt"
+        path.write_text(text)
+        g = read_edgelist(path, format_hint=hint)
+        out[name] = _sha(f"{_csr_sha(g)} {g.n} {g.labels!r}".encode())
+    rng = np.random.default_rng(62)
+    pairs = rng.integers(0, 4000, size=(30_000, 2))
+    pairs = np.concatenate((pairs, pairs[:, ::-1], pairs[:20_000], pairs[:20_000, :1].repeat(2, 1)))
+    for name, g in (
+        ("write-trailing-isolated", build_graph(pairs[:300] % 50, n_hint=80)),
+        ("write-empty", build_graph([], n_hint=4)),
+    ):
+        path = tmp_path / f"{name}.txt"
+        write_edgelist(g, path)
+        out[name] = _sha(path.read_bytes())
+    out["build-100k-shuffled"] = _csr_sha(build_graph(rng.permutation(pairs), n_hint=4500))
+    return out
 
 
 def large_hashes() -> dict[str, str]:
@@ -266,6 +326,10 @@ def test_large_attachment_is_golden():
     assert large_hashes() == GOLDEN_LARGE
 
 
+def test_edge_list_io_is_golden(tmp_path):
+    assert io_hashes(tmp_path) == GOLDEN_IO
+
+
 def _print_dict(name: str, hashes: dict[str, str]) -> None:
     print(f"{name} = {{")
     for key, value in hashes.items():
@@ -284,3 +348,4 @@ if __name__ == "__main__":
         _print_dict("GOLDEN_EDGES", edge_hashes())
         _print_dict("GOLDEN_CSR", csr_hashes(six, Path(tmp)))
         _print_dict("GOLDEN_LARGE", large_hashes())
+        _print_dict("GOLDEN_IO", io_hashes(Path(tmp)))
