@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .complexity import nhc_global
-from .graph import Graph, complement_codes, from_codes
+from .graph import Graph, complement_codes, from_codes, sorted_unique
 
 __all__ = [
     "MECHANISMS",
@@ -80,7 +80,8 @@ def _hierarchical_weights(g: Graph) -> tuple[np.ndarray, np.ndarray]:
         iu, ju = np.triu_indices(active.size, k=1)
         a, b = np.repeat(active, isolated.size), np.tile(isolated, active.size)
         pairs = (active[iu] * g.n + active[ju], np.minimum(a, b) * g.n + np.maximum(a, b))
-        codes = np.setdiff1d(np.concatenate(pairs), g.codes())
+        codes = np.sort(np.concatenate(pairs))
+        codes = codes[np.isin(codes, g.codes(), assume_unique=True, invert=True)]
     weights = (g.degrees[codes // g.n] + g.degrees[codes % g.n]).astype(np.float64)
     keep = weights > 0
     return codes[keep], weights[keep]
@@ -226,7 +227,7 @@ def add_edges(g: Graph, mechanism: str, count: int, seed: int) -> Graph:
     else:
         wmap = edge_weights(g, mechanism)
         new = _draw(g, wmap.codes, wmap.weights, count, rng)
-    codes = np.unique(np.concatenate((g.codes(), new)))
+    codes = sorted_unique(np.concatenate((g.codes(), new)))
     if codes.size != g.m + count:
         raise AssertionError("attachment produced an overlapping edge")
     return from_codes(g.n, codes, labels=g.labels)

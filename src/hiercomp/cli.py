@@ -41,7 +41,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", type=float, default=0.0, help="lognormal location")
     p.add_argument("--sigma", type=float, default=0.2, help="lognormal scale")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--degrees", default=None, help="degree-sequence file (rhg)")
+    p.add_argument("--degrees", default=None, help="degree-sequence file (rhg; no target needed)")
     p.add_argument("--output", required=True)
 
     p = sub.add_parser("theory", help="closed-form per-degree estimates for er(n, p)")
@@ -78,7 +78,9 @@ def _cmd_analyze(args) -> int:
 def _cmd_generate(args) -> int:
     target = args.p if args.p is not None else args.density
     if target is None:
-        raise ValueError("one of --p / --density is required")
+        if args.degrees is None:
+            raise ValueError("one of --p / --density is required")
+        target = 0.0  # rhg ignores the target when given its degrees
     degree_sequence = None
     if args.degrees:
         degree_sequence = tuple(

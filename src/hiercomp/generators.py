@@ -198,8 +198,10 @@ def gen_rhgg(
 def gen_config(degree_sequence, seed: int) -> Graph:
     """Uniform-ish simple graph with exactly the given degree sequence.
 
-    Stubs are shuffled and paired; self-loops and duplicate edges are then
-    repaired with random double-edge swaps (cap: 100 * m attempts).  Dense
+    A non-graphical sequence is rejected up front by the Erdős–Gallai
+    inequalities, before any random draw.  Stubs are shuffled and paired;
+    self-loops and duplicate edges are then repaired with random double-edge
+    swaps (cap: 100 * m attempts).  Dense
     sequences (density > 1/2) are paired in the complement and inverted,
     which keeps the repair tractable without touching the degree contract.
     """
@@ -213,10 +215,26 @@ def gen_config(degree_sequence, seed: int) -> Graph:
         raise ValueError("degree sum must be even")
     if deg.max() >= n:
         raise ValueError("max degree must be below n")
+    _check_graphical(deg)
     rng = np.random.default_rng(seed)
     if n >= 2 and int(deg.sum()) > n * (n - 1) // 2:
         return from_codes(n, complement_codes(n, _pair_and_repair(n - 1 - deg, rng)))
     return from_codes(n, _pair_and_repair(deg, rng))
+
+
+def _check_graphical(deg: np.ndarray) -> None:
+    """Erdős–Gallai, in O(n log n): with d sorted descending, every k needs
+    sum(d[:k]) <= k(k-1) + sum(min(d[k:], k)).  Raises at the first k that fails."""
+    d = np.sort(deg)[::-1]
+    k = np.arange(1, d.size + 1)
+    # the degrees >= k are a prefix of d; past it, min(d_i, k) = d_i
+    prefix = np.maximum(k, d.size - np.searchsorted(d[::-1], k))
+    tail = np.append(np.cumsum(d[::-1])[::-1], 0)  # tail[j] = sum(d[j:])
+    rhs = k * (k - 1) + k * (prefix - k) + tail[prefix]
+    bad = np.flatnonzero(np.cumsum(d) > rhs)
+    if bad.size:
+        raise ValueError(
+            f"degree sequence is not graphical: Erdős–Gallai fails at k={bad[0] + 1}")
 
 
 def _pair_and_repair(deg: np.ndarray, rng: np.random.Generator) -> np.ndarray:

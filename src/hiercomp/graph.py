@@ -22,6 +22,7 @@ __all__ = [
     "Graph",
     "build_graph",
     "from_codes",
+    "sorted_unique",
     "complement_codes",
     "nds",
     "degree_support_d2",
@@ -101,8 +102,17 @@ def build_graph(edges, n_hint: int | None = None) -> Graph:
         n = int(n_hint)
     else:
         n = max_id + 1
-    uv = uv[uv[:, 0] != uv[:, 1]]
-    return from_codes(n, np.unique(uv.min(axis=1) * np.int64(n) + uv.max(axis=1)))
+    lo, hi = np.minimum(uv[:, 0], uv[:, 1]), np.maximum(uv[:, 0], uv[:, 1])
+    return from_codes(n, sorted_unique((lo * np.int64(n) + hi)[lo != hi]))
+
+
+def sorted_unique(codes: np.ndarray) -> np.ndarray:
+    """Ascending distinct values of an int64 array, by a sort and an
+    adjacent-equal mask (numpy's ``np.unique`` hashes int64, far slower)."""
+    out = np.sort(codes)
+    keep = np.ones(out.size, dtype=bool)
+    np.not_equal(out[1:], out[:-1], out=keep[1:])
+    return out[keep]
 
 
 def from_codes(n: int, codes: np.ndarray, labels=None) -> Graph:

@@ -5,7 +5,8 @@ separated pair per line, '#'/'%' comment lines, an optional MatrixMarket
 banner (in which case the size line is skipped and a value column is
 tolerated).  Arbitrary node labels are remapped to dense ids in first-
 appearance order and kept on the graph.  A comment like ``# nodes: 123``
-fixes the node count, retaining isolated nodes.
+fixes the node count, retaining isolated nodes.  Reading and writing are
+bulk string and numpy operations, not a Python loop per edge.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -36,51 +37,50 @@ _NODES_HINT = re.compile(r"nodes\s*:?\s*(\d+)", re.IGNORECASE)
 
 def read_edgelist(path, format_hint: str | None = None) -> Graph:
     """Parse an edge-list file into a :class:`Graph`."""
+    uv, labels, n = _read_id_pairs(path, format_hint)
+    return replace(build_graph(uv, n_hint=n), labels=labels)
+
+
+def _read_id_pairs(path, format_hint: str | None) -> tuple[np.ndarray, tuple[str, ...], int]:
+    """(k, 2) id pairs, labels in first-appearance order, and the node count.
+
+    The body is tokenised once, in bulk; each body line's token count only
+    locates the first malformed line and the MatrixMarket size line.  The
+    lines and tokens are freed on return, before the graph is built.
+    """
     lines = Path(path).read_text().splitlines()
-    mm = format_hint == "matrixmarket"
-    if lines and lines[0].lstrip().startswith("%%MatrixMarket"):
-        mm = True
+    mm = format_hint == "matrixmarket" or (
+        bool(lines) and lines[0].lstrip().startswith("%%MatrixMarket"))
+    stripped = [line.strip() for line in lines]
     hint: int | None = None
-    labels: dict[str, int] = {}
-    pairs: list[tuple[int, int]] = []
-    saw_size_line = False
-    for lineno, raw in enumerate(lines, 1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#") or line.startswith("%"):
-            m = _NODES_HINT.search(line)
-            if m:
-                hint = int(m.group(1))
-            continue
-        tokens = line.split()
-        if mm and not saw_size_line:
-            saw_size_line = True
-            if len(tokens) == 3:
-                continue  # rows cols nnz
-        if len(tokens) == 2 or (mm and len(tokens) == 3):
-            a, b = tokens[0], tokens[1]
-        else:
-            raise ValueError(f"{path}: malformed line {lineno}: {raw!r}")
-        for lab in (a, b):
-            if lab not in labels:
-                labels[lab] = len(labels)
-        pairs.append((labels[a], labels[b]))
-    if not pairs and hint is None:
+    for line in [s for s in stripped if s and s[0] in "#%"]:
+        found = _NODES_HINT.search(line)
+        if found:
+            hint = int(found.group(1))
+    body = [s for s in stripped if s and s[0] not in "#%"]
+    width = np.array([len(s.split()) for s in body], dtype=np.int64)
+    skip = int(mm and width.size > 0 and width[0] == 3)  # rows cols nnz
+    body, width = body[skip:], width[skip:]
+    bad = np.flatnonzero((width != 2) & ~(mm & (width == 3)))
+    if bad.size:
+        lineno = [i for i, s in enumerate(stripped, 1) if s and s[0] not in "#%"][skip + bad[0]]
+        raise ValueError(f"{path}: malformed line {lineno}: {lines[lineno - 1]!r}")
+    if mm and (width == 3).any():  # value column: keep the first two tokens
+        tokens = [t for s in body for t in s.split()[:2]]
+    else:
+        tokens = " ".join(body).split()
+    if not tokens and hint is None:
         raise ValueError(f"{path}: empty file")
-    n = max(len(labels), hint or 0) if (pairs or hint) else 0
-    g = build_graph(np.asarray(pairs, dtype=np.int64).reshape(len(pairs), 2), n_hint=n)
-    return Graph(
-        n=g.n, m=g.m, indptr=g.indptr, indices=g.indices,
-        degrees=g.degrees, labels=tuple(labels),
-    )
+    ids = dict(zip(dict.fromkeys(tokens), itertools.count()))  # first appearance
+    uv = np.fromiter(map(ids.__getitem__, tokens), dtype=np.int64, count=len(tokens))
+    n = max(len(ids), hint or 0) if (tokens or hint) else 0
+    return uv.reshape(-1, 2), tuple(ids), n
 
 
 def write_edgelist(g: Graph, path) -> None:
     """Canonical text form: node-count header then ascending 'u v' lines."""
-    out = [f"# nodes: {g.n} edges: {g.m}"]
-    out.extend(f"{u} {v}" for u, v in g.edge_array().tolist())
-    Path(path).write_text("\n".join(out) + "\n")
+    body = ("%d %d\n" * g.m) % tuple(g.edge_array().ravel().tolist())
+    Path(path).write_text(f"# nodes: {g.n} edges: {g.m}\n" + body)
 
 
 def _average_ranks(v: np.ndarray) -> np.ndarray:

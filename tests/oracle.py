@@ -9,7 +9,9 @@ run on small graphs inside the test suite.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
+from pathlib import Path
 
 
 def adjacency(n: int, edges) -> dict[int, set[int]]:
@@ -129,6 +131,70 @@ def nonedge_weights(adj, mechanism: str) -> dict[tuple[int, int], float]:
                 raise ValueError(mechanism)
             out[(i, j)] = w
     return out
+
+
+# ---------------------------------------------------------------------------
+# graphicality by the Erdos-Gallai inequalities, one k at a time
+
+
+def erdos_gallai_violation(degrees) -> int | None:
+    """First k (degrees sorted descending) with sum(d[:k]) > k(k-1) +
+    sum(min(d_i, k) for i >= k), or None when every inequality holds."""
+    d = sorted(degrees, reverse=True)
+    for k in range(1, len(d) + 1):
+        if sum(d[:k]) > k * (k - 1) + sum(min(x, k) for x in d[k:]):
+            return k
+    return None
+
+
+# ---------------------------------------------------------------------------
+# edge-list reader, one line at a time
+
+_NODES_HINT = re.compile(r"nodes\s*:?\s*(\d+)", re.IGNORECASE)
+
+
+def read_edgelist_naive(path, format_hint=None) -> tuple[tuple[str, ...], int, set]:
+    """(labels, n, edges) of an edge-list file, or the reader's ValueError.
+
+    Labels come in first-appearance order; edges are (u, v) id pairs, u < v.
+    """
+    lines = Path(path).read_text().splitlines()
+    mm = format_hint == "matrixmarket"
+    if lines and lines[0].lstrip().startswith("%%MatrixMarket"):
+        mm = True
+    hint = None
+    labels: dict[str, int] = {}
+    pairs: list[tuple[int, int]] = []
+    saw_size_line = False
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#") or line.startswith("%"):
+            m = _NODES_HINT.search(line)
+            if m:
+                hint = int(m.group(1))
+            continue
+        tokens = line.split()
+        if mm and not saw_size_line:
+            saw_size_line = True
+            if len(tokens) == 3:
+                continue  # rows cols nnz
+        if len(tokens) == 2 or (mm and len(tokens) == 3):
+            a, b = tokens[0], tokens[1]
+        else:
+            raise ValueError(f"{path}: malformed line {lineno}: {raw!r}")
+        for lab in (a, b):
+            if lab not in labels:
+                labels[lab] = len(labels)
+        pairs.append((labels[a], labels[b]))
+    if not pairs and hint is None:
+        raise ValueError(f"{path}: empty file")
+    n = max(len(labels), hint or 0) if (pairs or hint) else 0
+    if n < 1:
+        raise ValueError("empty graph: n_hint must be positive")
+    edges = {(min(a, b), max(a, b)) for a, b in pairs if a != b}
+    return tuple(labels), n, edges
 
 
 # ---------------------------------------------------------------------------

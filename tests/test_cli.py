@@ -71,7 +71,7 @@ def test_generate_rhg_with_degree_file(tmp_path, capsys):
     degs.write_text("3 3 2 2 1 1\n")
     out = tmp_path / "rhg.txt"
     assert main([
-        "generate", "--family", "rhg", "--n", "6", "--density", "0.4",
+        "generate", "--family", "rhg", "--n", "6",
         "--degrees", str(degs), "--output", str(out),
     ]) == 0
     g = read_edgelist(out)

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle
 from hiercomp.generators import (
     ModelSpec,
     child_seed,
@@ -25,7 +28,7 @@ CONFIG_ERRORS = {
     "degree sum must be even",
     "max degree must be below n",
     "non-graphical or repair exhausted",
-}
+} | {f"degree sequence is not graphical: Erdős–Gallai fails at k={k}" for k in range(1, 13)}
 
 
 def pair_count(n):
@@ -155,6 +158,36 @@ def test_config_validation():
         gen_config([-1, 1], seed=0)
     with pytest.raises(ValueError, match="non-empty"):
         gen_config([], seed=0)
+
+
+def test_config_rejects_non_graphical_sequence_up_front():
+    with pytest.raises(ValueError, match="Erdős–Gallai fails at k=2$"):
+        gen_config([3, 3, 1, 1], seed=0)
+    # two nodes adjacent to every other node, which all have degree 1
+    degs = [2999, 2999] + [1] * 2998
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="Erdős–Gallai fails at k=2$"):
+        gen_config(degs, seed=0)
+    assert time.perf_counter() - start < 0.1
+
+
+@given(st.lists(st.integers(0, 9), min_size=1, max_size=10))
+@settings(max_examples=200, deadline=None)
+def test_config_graphicality_check_matches_oracle(degs):
+    if sum(degs) % 2 or max(degs) >= len(degs):
+        return
+    k = oracle.erdos_gallai_violation(degs)
+    try:
+        g = gen_config(degs, seed=3)
+    except ValueError as exc:
+        message = str(exc)
+    else:
+        assert g.degrees.tolist() == degs
+        message = None
+    if k is None:  # the swap repair can still get stuck, e.g. on [1]*6 + [2, 2, 8]
+        assert message in (None, "non-graphical or repair exhausted")
+    else:
+        assert message == f"degree sequence is not graphical: Erdős–Gallai fails at k={k}"
 
 
 def test_config_zero_sequence():

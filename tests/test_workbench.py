@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import oracle
@@ -94,6 +94,63 @@ def test_empty_file_rejected(tmp_path):
     p.write_text("% nothing here\n")
     with pytest.raises(ValueError, match="empty file"):
         read_edgelist(p)
+
+
+_LABELS = st.sampled_from(["0", "1", "2", "3", "10", "a", "b", "node-7"])
+_PAD = st.sampled_from(["", " ", "\t", "  "])
+_SEP = st.sampled_from([" ", "\t", "  ", " \t "])
+_LINE_KINDS = ["pair"] * 4 + ["triple"] * 2 + ["bad", "comment", "hint", "blank"]
+
+
+@st.composite
+def edge_list_files(draw):
+    """Text and format hint of a file mixing every construct the reader knows:
+    a MatrixMarket banner, size and value lines, '#'/'%' comments, '# nodes:'
+    hints, blank lines, self-loops, duplicate and reversed pairs, and lines
+    with the wrong number of tokens."""
+    lines = []
+    if draw(st.booleans()):
+        lines.append(draw(_PAD) + "%%MatrixMarket matrix coordinate pattern symmetric")
+    for _ in range(draw(st.integers(0, 14))):
+        kind = draw(st.sampled_from(_LINE_KINDS))
+        if kind == "pair":
+            tokens = [draw(_LABELS), draw(_LABELS)]
+        elif kind == "triple":  # a size line or a value column
+            tokens = [draw(_LABELS), draw(_LABELS), draw(st.sampled_from(["3", "1.0", "-2e-1"]))]
+        elif kind == "bad":
+            tokens = [draw(_LABELS) for _ in range(draw(st.sampled_from([1, 4, 5])))]
+        elif kind == "comment":
+            tokens = [draw(st.sampled_from(["#", "%", "%%", "#nodes"])), draw(_LABELS)]
+        elif kind == "hint":
+            mark = draw(st.sampled_from(["# nodes:", "#Nodes", "% nodes :", "# n nodes:"]))
+            tokens = [mark, str(draw(st.integers(0, 12)))]
+        else:
+            tokens = []
+        lines.append(draw(_PAD) + draw(_SEP).join(tokens) + draw(_PAD))
+    text = "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+    return text, draw(st.sampled_from([None, "matrixmarket"]))
+
+
+@given(edge_list_files())
+@example(("1 2 3\n1 2\n", None))  # a size line only counts in MatrixMarket
+@example(("%%MatrixMarket\n1 2\n2 3 1.0\n", None))  # no size line: 2 tokens first
+@example(("# nodes: 0\n", None))
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_reader_matches_line_by_line_oracle(tmp_path, case):
+    text, format_hint = case
+    path = tmp_path / "case.txt"
+    path.write_text(text)
+    try:
+        labels, n, edges = oracle.read_edgelist_naive(path, format_hint)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as info:
+            read_edgelist(path, format_hint=format_hint)
+        assert str(info.value) == str(exc)
+        return
+    g = read_edgelist(path, format_hint=format_hint)
+    assert (g.labels, g.n, g.m) == (labels, n, len(edges))
+    assert set(map(tuple, g.edge_array().tolist())) == edges
 
 
 # ---------------------------------------------------------------------------
