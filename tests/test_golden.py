@@ -22,7 +22,7 @@ import numpy as np
 if __name__ == "__main__":  # run as a script from a checkout
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from hiercomp.attachment import MECHANISMS, add_edges, edge_weights
+from hiercomp.attachment import MECHANISMS, add_edges, edge_weights, non_edge_count
 from hiercomp.complexity import complexity_report, hc_global, nhc_alt_sqrtk, nhc_global
 from hiercomp.experiments import RunManifest, run_experiment
 from hiercomp.generators import ModelSpec, child_seed, gen_config, gen_er, gen_rgg, gen_rhgg, generate
@@ -39,6 +39,9 @@ MANIFESTS = {
         fractions=(0.0, 0.01, 0.02), mechanisms=MECHANISMS,
     ),
 }
+
+# criterion 8's fig5 manifest with one base: non-edges listed over many blocks
+FIG5_N1000 = RunManifest(experiment="fig5", seed=0, n=1000, base_count=1)
 
 GOLDEN_CSV = {
     "fig2.csv": "0fd9ac4715a84a37acb7bdd7e678fb60614871dd719f35f4c2997934cc9212bb",
@@ -136,6 +139,82 @@ GOLDEN_IO = {
 }
 
 
+# gen_rgg / gen_rhgg over n x density x sigma x dims: one entry per (family,
+# n, dims) hashes the _csr_sha of every (density, sigma) point in order
+GOLDEN_GEOMETRIC = {
+    "rgg-1-1d": "7bb6a840b579e458aee601848a7269483c7d2c02c91469e4d93dfb69800d1065",
+    "rhgg-1-1d": "8d77cb6ee47aa804ab45b556762654cf3a6b45d77a90861df1c585a246d0a7f0",
+    "rgg-1-2d": "7bb6a840b579e458aee601848a7269483c7d2c02c91469e4d93dfb69800d1065",
+    "rhgg-1-2d": "8d77cb6ee47aa804ab45b556762654cf3a6b45d77a90861df1c585a246d0a7f0",
+    "rgg-1-3d": "7bb6a840b579e458aee601848a7269483c7d2c02c91469e4d93dfb69800d1065",
+    "rhgg-1-3d": "8d77cb6ee47aa804ab45b556762654cf3a6b45d77a90861df1c585a246d0a7f0",
+    "rgg-1-4d": "7bb6a840b579e458aee601848a7269483c7d2c02c91469e4d93dfb69800d1065",
+    "rhgg-1-4d": "8d77cb6ee47aa804ab45b556762654cf3a6b45d77a90861df1c585a246d0a7f0",
+    "rgg-2-1d": "48903e03baa892beb40fbe77ff631c45d985e0de6bd6e1a5ee6a2c3042b7b618",
+    "rhgg-2-1d": "a2ef9f7241613ddbb61a4b7bea7f963640bc8d3f42948e035b0d7d663aefebe9",
+    "rgg-2-2d": "48903e03baa892beb40fbe77ff631c45d985e0de6bd6e1a5ee6a2c3042b7b618",
+    "rhgg-2-2d": "a2ef9f7241613ddbb61a4b7bea7f963640bc8d3f42948e035b0d7d663aefebe9",
+    "rgg-2-3d": "48903e03baa892beb40fbe77ff631c45d985e0de6bd6e1a5ee6a2c3042b7b618",
+    "rhgg-2-3d": "a2ef9f7241613ddbb61a4b7bea7f963640bc8d3f42948e035b0d7d663aefebe9",
+    "rgg-2-4d": "48903e03baa892beb40fbe77ff631c45d985e0de6bd6e1a5ee6a2c3042b7b618",
+    "rhgg-2-4d": "a2ef9f7241613ddbb61a4b7bea7f963640bc8d3f42948e035b0d7d663aefebe9",
+    "rgg-5-1d": "d03548b2142c7c7aad842a9f7e78fd67a3d1dac15125e7b01e61bc6db1e71e4a",
+    "rhgg-5-1d": "ca77ff56593c2dc46dc377a147d6872519189fafb9758a7464b2ada2e0630af7",
+    "rgg-5-2d": "88ee6eaf7a29bb5333f36bbd922fcaccd17e10b58b5533ee3ca98837ef8c6ca0",
+    "rhgg-5-2d": "81723030ae4a66ff5a81de65b45abab932157d7a96ba226956657a8b394db3c6",
+    "rgg-5-3d": "601d9c20eb6c07737b8e5a5d9a8dfaaadb1e9050db380c0883d284eb6febc7ab",
+    "rhgg-5-3d": "d174a69024e7550418135ffa72336fde765713d528cf1f2cfd51ca52066470fd",
+    "rgg-5-4d": "7850c8a28c4148e641fec4d7967b9414ef928d568dedac48d71ee7c68c0d862d",
+    "rhgg-5-4d": "e544aea40a6e149907035f17d772f607300f48993fb90b7215e9237a232e4200",
+    "rgg-60-1d": "a024c2669f146bf59848caaddc8e0d5d9138e1e3ea4d78ae3919760a0ae183e7",
+    "rhgg-60-1d": "483ace1de9b08d57733ff02ec7152a9160d475952254f9f3b90aa303dbbf5a70",
+    "rgg-60-2d": "ea8b254cfcb91a810faac9fa20182fa285def56085a80b6e35b9a650ec429daf",
+    "rhgg-60-2d": "bdc51a09f08fa595c212c82aa45edf8b5c5e801c9be8b3a6254ca0082baedf1c",
+    "rgg-60-3d": "5a07235c18a91eb61fa74311ea1ad3cdde7dfce6c440bc2cfed5dbe67b1902e1",
+    "rhgg-60-3d": "7dc58f76a995fe38bea2a949a8d26ce8b43fef2b3b7c026e59ae2fae09172cc6",
+    "rgg-60-4d": "131f5839d9cb5cfe270ec94fe4b0662e296426b44655060d57ab8bbc75c77e20",
+    "rhgg-60-4d": "238092bfa5d2ffd90eb4f035bfe9852ad24278d2adad7dc3303bf6005d9bacbd",
+    "rgg-600-1d": "43aefa27ef2add9e7a64a28e7cad4af7b08dca2b5d0e03d1e1bc1197a3197518",
+    "rhgg-600-1d": "3466ea54000be79dfb2926419c94af294a63079e72c6604388cb5f7ecd083cfa",
+    "rgg-600-2d": "20b9fd9deb6ea4c6dc064e85bd4efbd4077894e530ed1fdad4c3ff7827fee79b",
+    "rhgg-600-2d": "5ebf7579a8d526d49c367eb812488f0b74bffcde076e937c35a3dbd7e396a28a",
+    "rgg-600-3d": "50860454a8b1a78e48f7dd2c9ad768f65971b57f081c7cd92ca5050f5fe86e1f",
+    "rhgg-600-3d": "8effb001306249f1726227ca3ac53d89a411c61d6de4c3e4ef54cc2feea6485a",
+    "rgg-600-4d": "1863ce37ee3c2366f817e7e1a8c1142d2f42d2767989ee50643a9a9ce9aa38ba",
+    "rhgg-600-4d": "c1d4141e5f8b9734310e615424ad0001490dec0a7127aba1975bca24877d6914",
+    "rgg-2000-1d": "c697166c34b37841b8f414352d6a9f94022e7efb11248a70c9740c2b4e4c6359",
+    "rhgg-2000-1d": "0963f2cd27722f12a45e6d36767553ed254fd28f96225ab4ea1a3c874545a2eb",
+    "rgg-2000-2d": "b34fa014dba94e5bb042d018c69c52acf26d250e7c6b3d2124628bc2a4eb2fd3",
+    "rhgg-2000-2d": "eb4bcc50a3fb47674c05536c8cdfa654dc1b43fc7c7601e71c1c131916d0a109",
+    "rgg-2000-3d": "debc69958a8a23edcf4141335390d0db2f8bbc31d58e26691f139ec5d9edd2b2",
+    "rhgg-2000-3d": "6929e5171662fcbbd01d5afcd54a36d8fe1770f03a8abe69f40f2908e4c59616",
+    "rgg-2000-4d": "6068ab067cd227f09b8e1cf79be791bbc9f674a08396182b6bb472c805a7813f",
+    "rhgg-2000-4d": "4e9d239c6b2c3a8dc4827ad40958b65bd2b085af3f63e88049be79cd88f1fec2",
+    "rhgg-600-mu-sigma0.0": "c702cacfe3cec5fd9af3f9ee97f97deb68a594daa8115c7cf836317dfe508415",
+    "rhgg-600-mu-sigma0.3": "88234e27892e0df290d48309c299d008f8cba691cc2b278065c8b391627356f8",
+    "rhgg-600-mu-sigma1.0": "b6842d840b033bbf80a47096afc7a8bcc6ed99c1859e8e55f173aa97e6b0d14d",
+}
+
+# add_edges random / hierarchical on graphs whose non-edges span many blocks
+# of the listing, with top-ups among isolated nodes and uniform fallbacks
+GOLDEN_BLOCKS = {
+    "rhgg1000-random": "b06a2cb7f65d61bbe0556d7dbf41f4dc04b7ef3a97e824d0f5f4b1a050708b10",
+    "rhgg1000-hierarchical": "7b629d375b8b368b018a45908bfd40ebe9147d4529ee8d15a5bd40fcf93cc854",
+    "er3000-random": "610f7642b98c76eef7a489209bc35a19e8b149d56760beb141e4bd10d99b8e88",
+    "er3000-hierarchical": "a9090a9f47883cc484086f264223891727a3ecbff5d31206487c5f7be25c6079",
+    "rhgg1000-random-all": "2957d94084e46c6b5cfcda8209a8888107ebc3cd721a8d6297e70e6213987054",
+    "path30pad1000-hierarchical": "4e3d7ac23fce0730b1eb709b43a64c8258a76ee860c53b1caff4a657599a5349",
+    "path30pad1000-similarity": "e55783d47dcb7958a0fd4ef22bf5ee4beb8d4fe78d32f5dd3513eb9d8639da46",
+    "path5pad3000-hierarchical": "03252c3b1e309e010aa2e5c734a1d6a27b6b5a201a2eb43f76361fb88ad9d92a",
+    "path5pad3000-similarity": "d139a28d653c3c6a686b68315277ce34ffc5d40c60395754ba425ba165f98271",
+    "empty1000-hierarchical": "70ccefebee7e641b6c14ef6e7792b1b37a72fac54d71f1766ba9488a16a199bd",
+    "empty3000-hierarchical": "a811ca96d8aeeb7a3ec874e94300d453f5b994cb854512a5f1a1a12ee64edfc9",
+    "matching1000-similarity": "22673fead2bc34ee417bf20c680ff724bd41d673c0a0260f1c2dac905656d989",
+    "matching1000-combined": "22673fead2bc34ee417bf20c680ff724bd41d673c0a0260f1c2dac905656d989",
+    "fig5-n1000.csv": "4bfec146aaf74e96ded35355d88b68af6111b57cc725592fb69743bb50114af9",
+}
+
+
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -198,6 +277,61 @@ def _large_cases():
         yield f"p3pad9001-{mechanism}", add_edges(p3, mechanism, 3, 5)
     k2 = build_graph([(0, 1)], n_hint=9001)
     yield "k2pad9001-hierarchical", add_edges(k2, "hierarchical", 18000, 2)
+
+
+GEOMETRIC_N = (1, 2, 5, 60, 600, 2000)
+GEOMETRIC_SIGMAS = (0.0, 0.3, 1.0)
+
+
+def _geometric_densities(n: int) -> tuple[float, ...]:
+    pairs = n * (n - 1) // 2
+    return (0.0, 1.0 / pairs if pairs else 0.0, 0.005, 0.1, 0.45, 0.7, 1.0)
+
+
+def geometric_hashes() -> dict[str, str]:
+    out = {}
+    for n in GEOMETRIC_N:
+        for dims in (1, 2, 3, 4):
+            seed = child_seed(11, n, dims)
+            densities = _geometric_densities(n)
+            rgg = [_csr_sha(gen_rgg(n, d, seed, dims=dims)) for d in densities]
+            out[f"rgg-{n}-{dims}d"] = _sha(" ".join(rgg).encode())
+            rhgg = [_csr_sha(gen_rhgg(n, d, seed, dims=dims, lognormal_sigma=s))
+                    for d in densities for s in GEOMETRIC_SIGMAS]
+            out[f"rhgg-{n}-{dims}d"] = _sha(" ".join(rhgg).encode())
+    for s in GEOMETRIC_SIGMAS:
+        out[f"rhgg-600-mu-sigma{s}"] = _csr_sha(
+            gen_rhgg(600, 0.005, 12, lognormal_mu=-1.3, lognormal_sigma=s))
+    return out
+
+
+def _block_cases():
+    rhgg = gen_rhgg(1000, 0.01, child_seed(13, 0), lognormal_sigma=0.5)
+    er = gen_er(3000, 0.002, child_seed(13, 1))
+    for name, g in (("rhgg1000", rhgg), ("er3000", er)):
+        for mechanism in ("random", "hierarchical"):
+            yield f"{name}-{mechanism}", add_edges(g, mechanism, 700, 4)
+    yield "rhgg1000-random-all", add_edges(rhgg, "random", non_edge_count(rhgg), 4)
+    # few non-isolated nodes: hierarchical takes every weighted pair, then
+    # tops up among the isolated pairs; similarity tops up the same way
+    for n, k in ((1000, 30), (3000, 5)):
+        g = build_graph([(i, i + 1) for i in range(k - 1)], n_hint=n)
+        weighted = non_edge_count(g) - (n - k) * (n - k - 1) // 2
+        yield f"path{k}pad{n}-hierarchical", add_edges(g, "hierarchical", weighted + 900, 7)
+        yield f"path{k}pad{n}-similarity", add_edges(g, "similarity", 2 * k, 7)
+    # no positive weight at all: uniform over every non-edge
+    for n in (1000, 3000):
+        yield f"empty{n}-hierarchical", add_edges(build_graph([], n_hint=n), "hierarchical", 800, 8)
+    matching = build_graph([(2 * i, 2 * i + 1) for i in range(500)], n_hint=1000)
+    for mechanism in ("similarity", "combined"):
+        yield f"matching1000-{mechanism}", add_edges(matching, mechanism, 800, 9)
+
+
+def block_hashes(tmp_path) -> dict[str, str]:
+    out = {name: _csr_sha(g) for name, g in _block_cases()}
+    (path,) = [p for p in run_experiment(FIG5_N1000, tmp_path / "fig5-n1000") if p.suffix == ".csv"]
+    out["fig5-n1000.csv"] = _sha(path.read_bytes())
+    return out
 
 
 def _io_files():
@@ -330,6 +464,14 @@ def test_edge_list_io_is_golden(tmp_path):
     assert io_hashes(tmp_path) == GOLDEN_IO
 
 
+def test_geometric_edge_sets_are_golden():
+    assert geometric_hashes() == GOLDEN_GEOMETRIC
+
+
+def test_attachment_over_many_blocks_is_golden(tmp_path):
+    assert block_hashes(tmp_path) == GOLDEN_BLOCKS
+
+
 def _print_dict(name: str, hashes: dict[str, str]) -> None:
     print(f"{name} = {{")
     for key, value in hashes.items():
@@ -349,3 +491,5 @@ if __name__ == "__main__":
         _print_dict("GOLDEN_CSR", csr_hashes(six, Path(tmp)))
         _print_dict("GOLDEN_LARGE", large_hashes())
         _print_dict("GOLDEN_IO", io_hashes(Path(tmp)))
+        _print_dict("GOLDEN_GEOMETRIC", geometric_hashes())
+        _print_dict("GOLDEN_BLOCKS", block_hashes(Path(tmp)))
