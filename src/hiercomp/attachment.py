@@ -13,6 +13,12 @@ it lists, all of them are taken and the rest are drawn uniformly among the
 other non-edges, and a map with none falls back to uniform attachment with a
 logged notice.  Batch steps sample without replacement against the weights
 frozen at the start of the step; sweeps recompute weights between steps.
+
+random and hierarchical list their non-edges in ascending row blocks of
+about 32k pairs, and a draw keeps only the smallest keys as the blocks go
+by, so no step holds every non-edge at once; similarity and combined list
+their shared-neighbour pairs as one block.  Every mechanism goes through
+the same draw.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .complexity import nhc_global
-from .graph import Graph, complement_codes, from_codes, sorted_unique
+from .graph import Graph, from_codes, sorted_unique
 
 __all__ = [
     "MECHANISMS",
@@ -40,10 +46,13 @@ log = logging.getLogger(__name__)
 
 MECHANISMS = ("random", "hierarchical", "similarity", "combined")
 
-# Listing every non-edge is O(n^2) memory: edge_weights lists at most as many
+# Listing every non-edge is O(n^2) work: edge_weights lists at most as many
 # pairs as a graph on this many nodes has, and above it add_edges draws random
 # and hierarchical pairs by rejection instead.
 _ENUM_LIMIT = 8192
+# Non-edges are listed in ascending row blocks of about this many pairs, so a
+# draw holds one block and its kept keys, never every non-edge at once.
+_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -64,27 +73,36 @@ def _check_cap(pairs: int) -> None:
         raise ValueError(f"non-edge enumeration capped at n={_ENUM_LIMIT}")
 
 
-def _all_non_edges(g: Graph) -> np.ndarray:
-    _check_cap(g.n * (g.n - 1) // 2)
-    return complement_codes(g.n, g.codes())
+def _row_starts(n: int) -> np.ndarray:
+    """Rank of pair (u, u + 1) among the pairs u < v in ascending code order."""
+    u = np.arange(n, dtype=np.int64)
+    return u * (2 * n - u - 1) // 2
 
 
-def _hierarchical_weights(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending codes of the non-edges with a non-isolated end, weighted by
-    degree sum.  Above n = 8192 they are built from the non-isolated nodes."""
-    if g.n <= _ENUM_LIMIT:
-        codes = _all_non_edges(g)
-    else:
-        active, isolated = np.flatnonzero(g.degrees), np.flatnonzero(g.degrees == 0)
-        _check_cap(active.size * (active.size - 1) // 2 + active.size * isolated.size)
-        iu, ju = np.triu_indices(active.size, k=1)
-        a, b = np.repeat(active, isolated.size), np.tile(isolated, active.size)
-        pairs = (active[iu] * g.n + active[ju], np.minimum(a, b) * g.n + np.maximum(a, b))
-        codes = np.sort(np.concatenate(pairs))
-        codes = codes[np.isin(codes, g.codes(), assume_unique=True, invert=True)]
-    weights = (g.degrees[codes // g.n] + g.degrees[codes % g.n]).astype(np.float64)
-    keep = weights > 0
-    return codes[keep], weights[keep]
+def _non_edge_blocks(g: Graph):
+    """Ascending codes of the non-edges of g, one block of rows at a time."""
+    n, edges, starts = g.n, g.codes(), _row_starts(g.n)
+    u0 = 0
+    while u0 < n - 1:
+        u1 = min(n - 1, max(u0 + 1, int(np.searchsorted(starts, starts[u0] + _BLOCK))))
+        absent = np.arange(n) > np.arange(u0, u1)[:, None]
+        lo, hi = np.searchsorted(edges, (u0 * n, u1 * n))
+        absent.ravel()[edges[lo:hi] - u0 * n] = False
+        yield np.flatnonzero(absent) + u0 * n
+        u0 = u1
+
+
+def _hierarchical_blocks(g: Graph):
+    """Non-edges with a non-isolated end, weighted by degree sum, in blocks."""
+    for codes in _non_edge_blocks(g):
+        weights = (g.degrees[codes // g.n] + g.degrees[codes % g.n]).astype(np.float64)
+        keep = weights > 0
+        yield codes[keep], weights[keep]
+
+
+def _uniform_blocks(g: Graph):
+    for codes in _non_edge_blocks(g):
+        yield codes, np.ones(codes.size, dtype=np.float64)
 
 
 def _shared_neighbour_weights(g: Graph, mechanism: str) -> tuple[np.ndarray, np.ndarray]:
@@ -115,31 +133,45 @@ def non_edge_count(g: Graph) -> int:
     return g.n * (g.n - 1) // 2 - g.m
 
 
-def edge_weights(g: Graph, mechanism: str) -> NonEdgeWeights:
-    """Positive attachment weights over the non-edges of g.
+def _weight_blocks(g: Graph, mechanism: str):
+    """(blocks, uniform_fallback): the positive weights over the non-edges of
+    g as an iterable of ascending (codes, weights) blocks.
 
     random lists every non-edge and hierarchical every non-edge with a
-    non-isolated end; similarity/combined list the pairs with shared
-    neighbours.  A map that lists none degrades to uniform over every
-    non-edge, with a logged notice.  Listing more candidate pairs than a
-    graph on 8192 nodes has raises ``ValueError``.
+    non-isolated end, one row block at a time; similarity/combined list the
+    pairs with shared neighbours in one block.  A map that lists none
+    degrades to uniform over every non-edge, with a logged notice.
     """
     if mechanism not in MECHANISMS:
         raise ValueError(f"unknown mechanism {mechanism!r}")
+    pairs = g.n * (g.n - 1) // 2
     if mechanism == "random":
-        codes = _all_non_edges(g)
-        weights = np.ones(codes.size, dtype=np.float64)
+        _check_cap(pairs)
+        blocks, positive = _uniform_blocks(g), True
     elif mechanism == "hierarchical":
-        codes, weights = _hierarchical_weights(g)
+        iso = int(np.count_nonzero(g.degrees == 0))
+        _check_cap(pairs - iso * (iso - 1) // 2)
+        # every non-edge weighs 0 only when no node has an edge
+        blocks, positive = _hierarchical_blocks(g), g.m > 0
     else:
         codes, weights = _shared_neighbour_weights(g, mechanism)
-    if codes.size or non_edge_count(g) == 0:
-        return NonEdgeWeights(codes, weights)
+        blocks, positive = [(codes, weights)], codes.size > 0
+    if positive or non_edge_count(g) == 0:
+        return blocks, False
     log.warning("all %s weights zero; falling back to uniform attachment", mechanism)
-    if g.n > _ENUM_LIMIT:
-        return NonEdgeWeights(codes, weights, uniform_fallback=True)
-    codes = _all_non_edges(g)
-    return NonEdgeWeights(codes, np.ones(codes.size, dtype=np.float64), uniform_fallback=True)
+    return ([] if g.n > _ENUM_LIMIT else _uniform_blocks(g)), True
+
+
+def edge_weights(g: Graph, mechanism: str) -> NonEdgeWeights:
+    """Positive attachment weights over the non-edges of g, in one map.
+
+    The pairs of :func:`_weight_blocks`, concatenated.  Listing more
+    candidate pairs than a graph on 8192 nodes has raises ``ValueError``.
+    """
+    blocks, fallback = _weight_blocks(g, mechanism)
+    pairs = [(np.empty(0, np.int64), np.empty(0))] + list(blocks)
+    return NonEdgeWeights(np.concatenate([c for c, _ in pairs]),
+                          np.concatenate([w for _, w in pairs]), fallback)
 
 
 def _rejection_sample(
@@ -180,24 +212,54 @@ def _rejection_sample(
     return np.array(out, dtype=np.int64)
 
 
-def _draw(
-    g: Graph, codes: np.ndarray, weights: np.ndarray, count: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Codes of ``count`` distinct non-edges, by successive sampling on ``weights``.
+def _nth_non_edges(n: int, taken: np.ndarray, nth: np.ndarray) -> np.ndarray:
+    """Codes of the nth (0-based) pairs, in ascending code order, among the
+    pairs on n nodes whose codes are not in ``taken`` (ascending)."""
+    starts = _row_starts(n)
+    u, v = np.divmod(taken, n)
+    # pairs that are not taken and rank before each taken pair
+    before = starts[u] + (v - u - 1) - np.arange(taken.size)
+    rank = nth + np.searchsorted(before, nth, side="right")
+    u = np.searchsorted(starts, rank, side="right") - 1
+    return u * n + (rank - starts[u] + u + 1)
+
+
+def _draw(g: Graph, blocks, count: int, rng: np.random.Generator) -> np.ndarray:
+    """Codes of ``count`` distinct non-edges, by successive sampling on the
+    weights of ascending (codes, weights) blocks.
 
     The smallest ``count`` keys Exp(1)/w win (Efraimidis & Spirakis, IPL
-    97(5), 2006).  When fewer pairs are listed, all are taken and the rest
-    are drawn uniformly among the other non-edges.
+    97(5), 2006); keys are drawn block by block, which gives the same
+    stream as one draw over every listed pair, and only the smallest are
+    kept as the blocks go by.  When fewer pairs are listed, all are taken
+    and the rest are drawn uniformly among the other non-edges.
     """
-    keys = rng.exponential(size=codes.size) / weights
-    if count <= codes.size:
+    keys, codes = [np.empty(0)], [np.empty(0, np.int64)]
+    kept = listed = 0
+    cut = np.inf
+    for c, w in blocks:
+        listed += c.size
+        k = rng.exponential(size=c.size) / w
+        small = k < cut
+        keys.append(k[small])
+        codes.append(c[small])
+        kept += keys[-1].size
+        if kept >= max(2 * count, _BLOCK):
+            k, c = np.concatenate(keys), np.concatenate(codes)
+            best = np.argpartition(k, count - 1)[:count]
+            keys, codes, kept = [k[best]], [c[best]], count
+            cut = keys[0].max()
+    keys, codes = np.concatenate(keys), np.concatenate(codes)
+    if count <= listed:
         return codes[np.argpartition(keys, count - 1)[:count]]
     if codes.size:
         log.warning("only %d positive-weight candidates for %d requested edges; "
                     "topping up uniformly", codes.size, count)
     if g.n <= _ENUM_LIMIT:
-        others = np.setdiff1d(_all_non_edges(g), codes, assume_unique=True)
-        extra = rng.choice(others, size=count - codes.size, replace=False)
+        # ``codes`` is every listed pair, ascending: uniform over the others
+        others = non_edge_count(g) - codes.size
+        nth = rng.choice(others, size=count - codes.size, replace=False)
+        extra = _nth_non_edges(g.n, np.sort(np.concatenate((g.codes(), codes))), nth)
     else:
         extra = _rejection_sample(g, count - codes.size, rng, taken=codes)
     return np.concatenate((codes, extra))
@@ -225,8 +287,7 @@ def add_edges(g: Graph, mechanism: str, count: int, seed: int) -> Graph:
         node_p = g.degrees / g.degrees.sum() if mechanism == "hierarchical" else None
         new = _rejection_sample(g, count, rng, node_p=node_p)
     else:
-        wmap = edge_weights(g, mechanism)
-        new = _draw(g, wmap.codes, wmap.weights, count, rng)
+        new = _draw(g, _weight_blocks(g, mechanism)[0], count, rng)
     codes = sorted_unique(np.concatenate((g.codes(), new)))
     if codes.size != g.m + count:
         raise AssertionError("attachment produced an overlapping edge")

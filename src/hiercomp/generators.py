@@ -13,14 +13,23 @@ Four families:
 All generators are deterministic in (parameters, seed) down to the byte
 level of the edge set.  Weight ties in the geometric selectors break
 lexicographically by node pair.
+
+The geometric families never rank all n(n-1)/2 pairs.  A weight floor that
+at least m pairs reach is sized from a sample of pairs; k-d tree radius
+queries, one per pair of log-strength buckets, collect every pair that can
+reach it, and one exact top-m cut over those pairs gives the edge set that
+ranking every pair would give.  Work and memory follow the number of
+candidate pairs, about m, not n^2.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .graph import Graph, complement_codes, from_codes
 
@@ -124,29 +133,123 @@ def _keep_top(w: np.ndarray, c: np.ndarray, m: int) -> tuple[np.ndarray, np.ndar
     return w[sel], c[sel]
 
 
-def _geometric_top_m(pts: np.ndarray, m: int, strengths: np.ndarray | None) -> Graph:
-    """Rank all pairs by inverse-distance weight and keep the heaviest m.
+_SAMPLE_POINTS = 512  # the floor is sized from the pairs among this many points
+_CHUNK = 1 << 16  # pairs per weight evaluation
+# Relative slack on every query radius.  The tree's distance and the weight's
+# 1/sqrt(einsum) both round a sum of dims squares; their relative error stays
+# far below this for any dims under 10^6, so no pair that reaches the floor
+# falls outside its radius.
+_RADIUS_SLACK = 1e-9
 
-    Streams row blocks so only O(m + block) weights are live at once.
+
+def _pair_weights(pts: np.ndarray, u: np.ndarray, v: np.ndarray,
+                  strengths: np.ndarray | None) -> np.ndarray:
+    """Weight of each pair (u, v): 1 / dist, times s_u + s_v with strengths.
+
+    Always this float expression, so that ties between weights cannot move.
+    Small chunks keep the temporaries in cache and in reused heap.
+    """
+    out = np.empty(u.size)
+    for k in range(0, u.size, _CHUNK):
+        a, b = u[k:k + _CHUNK], v[k:k + _CHUNK]
+        diff = np.take(pts, a, axis=0) - np.take(pts, b, axis=0)
+        inv = 1.0 / np.sqrt(np.einsum("pq,pq->p", diff, diff))
+        out[k:k + _CHUNK] = inv if strengths is None else inv * (strengths[a] + strengths[b])
+    return out
+
+
+def _weight_floor(pts: np.ndarray, m: int, strengths: np.ndarray | None) -> float:
+    """A weight that probably at least m pairs reach, read off the pairs among
+    the first k points (uniform and independent, so a fair sample of pairs).
+
+    The sample is at most 1/16 of all pairs.  Its share of pairs at the
+    floor exceeds the target share m / C(n, 2) by four standard errors: a
+    Poisson term, plus the first Hoeffding term of a U-statistic, since
+    sample pairs share nodes (their spread of counts; large for rhgg's
+    heavy nodes and rgg's corner points).
     """
     n = pts.shape[0]
+    k = min(_SAMPLE_POINTS, max(2, n // 4))
+    iu, ju = np.triu_indices(k, 1)
+    w = _pair_weights(pts, iu, ju, strengths)
+    share = m / (n * (n - 1) / 2)
+
+    def floor_at(rank: int) -> float:
+        return float(np.partition(w, w.size - rank)[w.size - rank]) if rank <= w.size else 0.0
+
+    above = w >= floor_at(max(1, math.ceil(share * w.size)))
+    per_node = np.bincount(iu[above], minlength=k) + np.bincount(ju[above], minlength=k)
+    se = math.sqrt(share / w.size) + 2.0 * float(per_node.std()) / (k - 1) / math.sqrt(k)
+    return floor_at(math.ceil((share + 4.0 * se) * w.size) + 1)
+
+
+def _strength_groups(n: int, strengths: np.ndarray | None) -> list[tuple[np.ndarray, float]]:
+    """(ascending members, largest strength) of each log-strength bucket of
+    ratio sqrt 2.  rgg is one bucket of strength 1/2, so that every pair's
+    strength sum is 1.
+    """
+    if strengths is None:
+        return [(np.arange(n), 0.5)]
+    key = np.floor(2.0 * np.log2(strengths))
+    order = np.argsort(key, kind="stable")
+    groups = np.split(order, np.flatnonzero(np.diff(key[order])) + 1)
+    return [(g, float(strengths[g].max())) for g in groups]
+
+
+def _candidates(pts, strengths, groups, trees, floor: float) -> tuple[np.ndarray, np.ndarray]:
+    """Codes and weights of every pair whose weight reaches ``floor``.
+
+    A pair from buckets a and b can reach it only within distance
+    (s_max,a + s_max,b) / floor, so each pair of buckets is one radius query.
+    """
+    n, dims = pts.shape
+    diameter = 2.0 * math.sqrt(dims)  # beyond any two points of the unit cube
+    codes, weights = [], []
+    for a, (ga, sa) in enumerate(groups):
+        for b in range(a, len(groups)):
+            gb, sb = groups[b]
+            radius = (sa + sb) / floor * (1.0 + _RADIUS_SLACK) if floor > 0 else diameter
+            radius = min(radius, diameter)
+            if a == b:  # members ascend, so local i < j keeps u < v
+                found = trees[a].query_pairs(radius, output_type="ndarray")
+                u, v = ga[found[:, 0]], ga[found[:, 1]]
+            else:
+                found = trees[a].sparse_distance_matrix(trees[b], radius, output_type="ndarray")
+                i, j = ga[found["i"]], gb[found["j"]]
+                u, v = np.minimum(i, j), np.maximum(i, j)
+            del found
+            w = _pair_weights(pts, u, v, strengths)
+            keep = w >= floor
+            codes.append(u[keep] * np.int64(n) + v[keep])
+            weights.append(w[keep])
+    if len(codes) == 1:  # rgg, or rhgg with one strength bucket
+        return codes[0], weights[0]
+    return np.concatenate(codes), np.concatenate(weights)
+
+
+def _geometric_top_m(pts: np.ndarray, m: int, strengths: np.ndarray | None) -> Graph:
+    """The m heaviest pairs by inverse-distance weight, without an all-pairs scan.
+
+    A weight floor is sized from a sample of pairs and lowered until at least
+    m pairs reach it; k-d tree radius queries (Bentley, CACM 18(9), 1975)
+    collect every pair that could reach it, and their exact weights go
+    through one top-m cut, so the edge set is that of ranking all pairs.
+    """
+    n, dims = pts.shape
     if m == 0:
         return from_codes(n, np.empty(0, np.int64))
-    best_w = np.empty(0, dtype=np.float64)
-    best_c = np.empty(0, dtype=np.int64)
-    block = max(1, 2_000_000 // max(n, 1))
-    for i0 in range(0, n - 1, block):
-        i1 = min(i0 + block, n - 1)
-        diff = pts[i0:i1, None, :] - pts[None, :, :]
-        d2 = np.einsum("rjq,rjq->rj", diff, diff)
-        rows, cols = np.nonzero(np.arange(n)[None, :] > (i0 + np.arange(i1 - i0))[:, None])
-        ii = rows + i0
-        jj = cols
-        inv = 1.0 / np.sqrt(d2[rows, cols])
-        w = inv if strengths is None else inv * (strengths[ii] + strengths[jj])
-        c = ii * np.int64(n) + jj
-        best_w, best_c = _keep_top(np.concatenate((best_w, w)), np.concatenate((best_c, c)), m)
-    return from_codes(n, np.sort(best_c))
+    groups = _strength_groups(n, strengths)
+    trees = [cKDTree(pts[g]) for g, _ in groups]
+    floor = _weight_floor(pts, m, strengths)
+    while True:
+        codes, w = _candidates(pts, strengths, groups, trees, floor)
+        if codes.size >= m:
+            break
+        # weights scale as 1/radius and pair counts as radius**dims
+        floor *= ((codes.size + 1) / (2 * m)) ** (1.0 / dims)
+    kept = np.sort(_keep_top(w, codes, m)[1])
+    del codes, w
+    return from_codes(n, kept)
 
 
 def _pair_target(n: int, density: float) -> int:
@@ -201,7 +304,8 @@ def gen_config(degree_sequence, seed: int) -> Graph:
     A non-graphical sequence is rejected up front by the Erdős–Gallai
     inequalities, before any random draw.  Stubs are shuffled and paired;
     self-loops and duplicate edges are then repaired with random double-edge
-    swaps (cap: 100 * m attempts).  Dense
+    swaps (cap: 100 * m attempts; a graphical sequence can still exhaust it,
+    and the error says so).  Dense
     sequences (density > 1/2) are paired in the complement and inverted,
     which keeps the repair tractable without touching the degree contract.
     """
@@ -237,6 +341,11 @@ def _check_graphical(deg: np.ndarray) -> None:
             f"degree sequence is not graphical: Erdős–Gallai fails at k={bad[0] + 1}")
 
 
+def _repair_gave_up(m: int) -> str:
+    return (f"degree sequence is graphical, but the double-edge-swap repair gave up "
+            f"after {100 * m} attempts (cap: 100 per edge); another seed may realise it")
+
+
 def _pair_and_repair(deg: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Ascending pair codes of a simple graph with degree sequence deg."""
     n = deg.size
@@ -263,7 +372,7 @@ def _pair_and_repair(deg: np.ndarray, rng: np.random.Generator) -> np.ndarray:
                 continue
             while True:
                 if attempts >= max_attempts:
-                    raise ValueError("non-graphical or repair exhausted")
+                    raise ValueError(_repair_gave_up(m))
                 attempts += 1
                 j = int(rng.integers(m))
                 if j == idx:

@@ -3,7 +3,10 @@
 Everything here is written directly from the definitions, in plain Python
 (dicts, sets, math.fsum), on purpose: the production package is numpy-based
 and these routines must not share code with it.  Slow is fine; these only
-run on small graphs inside the test suite.
+run on small graphs inside the test suite.  The exceptions are earlier,
+materialising versions of production paths, kept in numpy as references
+for their streamed replacements (the all-pairs geometric scan, the listed
+non-edge draw).
 """
 
 from __future__ import annotations
@@ -12,6 +15,8 @@ import math
 import re
 from fractions import Fraction
 from pathlib import Path
+
+import numpy as np
 
 
 def adjacency(n: int, edges) -> dict[int, set[int]]:
@@ -257,3 +262,78 @@ def _sqrt_fraction(q: Fraction) -> Fraction | None:
     if pn * pn == q.numerator and pd * pd == q.denominator:
         return Fraction(pn, pd)
     return None
+
+
+# ---------------------------------------------------------------------------
+# geometric top-m selection by an all-pairs scan
+
+
+def _keep_top_naive(w, c, m):
+    if w.size <= m:
+        return w, c
+    part = np.partition(w, w.size - m)
+    thresh = part[w.size - m]
+    sel = np.flatnonzero(w > thresh)
+    need = m - sel.size
+    if need > 0:
+        ties = np.flatnonzero(w == thresh)
+        ties = ties[np.argsort(c[ties], kind="stable")[:need]]
+        sel = np.concatenate((sel, ties))
+    return w[sel], c[sel]
+
+
+def geometric_top_m_naive(pts, m: int, strengths=None):
+    """Ascending pair codes of the m heaviest pairs: every pair's weight
+    1/dist (times s_i + s_j) in row blocks, ties cut by ascending code."""
+    n = pts.shape[0]
+    if m == 0:
+        return np.empty(0, np.int64)
+    best_w = np.empty(0, dtype=np.float64)
+    best_c = np.empty(0, dtype=np.int64)
+    block = max(1, 2_000_000 // max(n, 1))
+    for i0 in range(0, n - 1, block):
+        i1 = min(i0 + block, n - 1)
+        diff = pts[i0:i1, None, :] - pts[None, :, :]
+        d2 = np.einsum("rjq,rjq->rj", diff, diff)
+        rows, cols = np.nonzero(np.arange(n)[None, :] > (i0 + np.arange(i1 - i0))[:, None])
+        ii = rows + i0
+        jj = cols
+        inv = 1.0 / np.sqrt(d2[rows, cols])
+        w = inv if strengths is None else inv * (strengths[ii] + strengths[jj])
+        c = ii * np.int64(n) + jj
+        best_w, best_c = _keep_top_naive(
+            np.concatenate((best_w, w)), np.concatenate((best_c, c)), m)
+    return np.sort(best_c)
+
+
+# ---------------------------------------------------------------------------
+# random / hierarchical attachment with every non-edge listed at once
+
+
+def draw_naive(g, mechanism: str, count: int, seed: int):
+    """Ascending edge codes of g plus ``count`` new random or hierarchical
+    edges: every non-edge listed in one array, keys Exp(1)/w for the listed
+    positive weights (uniform when none is positive), the smallest ``count``
+    keys win, and a shortfall is drawn uniformly among the unlisted non-edges."""
+    n = g.n
+    edges = g.codes()
+    absent = np.triu(np.ones((n, n), dtype=bool), k=1).ravel()
+    absent[edges] = False
+    non_edges = np.flatnonzero(absent)
+    if mechanism == "random":
+        codes, weights = non_edges, np.ones(non_edges.size)
+    elif mechanism == "hierarchical":
+        weights = (g.degrees[non_edges // n] + g.degrees[non_edges % n]).astype(np.float64)
+        codes, weights = non_edges[weights > 0], weights[weights > 0]
+    else:
+        raise ValueError(mechanism)
+    if codes.size == 0:
+        codes, weights = non_edges, np.ones(non_edges.size)
+    rng = np.random.default_rng(seed)
+    keys = rng.exponential(size=codes.size) / weights
+    if count <= codes.size:
+        new = codes[np.argpartition(keys, count - 1)[:count]]
+    else:
+        others = np.setdiff1d(non_edges, codes, assume_unique=True)
+        new = np.concatenate((codes, rng.choice(others, size=count - codes.size, replace=False)))
+    return np.sort(np.concatenate((edges, new)))

@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import logging
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import oracle
+from hiercomp import attachment
 from hiercomp.attachment import (
     DEFAULT_FRACTIONS,
     MECHANISMS,
@@ -152,6 +156,39 @@ def test_add_edges_widens_candidate_set_when_needed():
     assert h.m == 4
     codes = h.edge_array()[:, 0] * h.n + h.edge_array()[:, 1]
     assert len(np.unique(codes)) == h.m
+
+
+@given(
+    active=st.integers(2, 120),
+    isolated=st.integers(0, 300),
+    p=st.floats(0.0, 0.5),
+    share=st.floats(0.0, 1.0),
+    mechanism=st.sampled_from(["random", "hierarchical"]),
+    seed=st.integers(0, 2**32 - 1),
+    block=st.sampled_from([64, 1 << 15]),
+)
+@settings(max_examples=80, deadline=None)
+def test_add_edges_matches_listed_draw(active, isolated, p, share, mechanism, seed, block):
+    """Row-block listing draws exactly what listing every non-edge at once drew,
+    across blocks, isolated nodes, top-ups and counts up to every non-edge."""
+    g = build_graph(gen_er(active, p, seed).edge_array(), n_hint=active + isolated)
+    assume(non_edge_count(g) > 0)
+    count = max(1, round(share * non_edge_count(g)))
+    with mock.patch.object(attachment, "_BLOCK", block):
+        h = add_edges(g, mechanism, count, seed)
+    assert np.array_equal(h.codes(), oracle.draw_naive(g, mechanism, count, seed))
+
+
+def test_non_edge_blocks_cover_every_non_edge_in_order():
+    edges = {(0, 5), (1, 2), (3, 299), (298, 299), (150, 151)}
+    g = build_graph(sorted(edges), n_hint=300)
+    with mock.patch.object(attachment, "_BLOCK", 100):
+        blocks = list(attachment._non_edge_blocks(g))
+    assert len(blocks) > 200
+    listed = np.concatenate(blocks)
+    expected = [i * 300 + j for i in range(300) for j in range(i + 1, 300)
+                if (i, j) not in edges]
+    assert listed.tolist() == expected
 
 
 def test_large_graph_rejection_path():

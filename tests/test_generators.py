@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
+from hiercomp import generators
 from hiercomp.generators import (
     ModelSpec,
     child_seed,
@@ -27,8 +29,9 @@ CONFIG_ERRORS = {
     "degrees must be non-negative",
     "degree sum must be even",
     "max degree must be below n",
-    "non-graphical or repair exhausted",
-} | {f"degree sequence is not graphical: Erdős–Gallai fails at k={k}" for k in range(1, 13)}
+} | {f"degree sequence is not graphical: Erdős–Gallai fails at k={k}" for k in range(1, 13)} | {
+    f"degree sequence is graphical, but the double-edge-swap repair gave up after {100 * m} "
+    "attempts (cap: 100 per edge); another seed may realise it" for m in range(1, 40)}
 
 
 def pair_count(n):
@@ -121,6 +124,46 @@ def test_rhgg_sigma_zero_matches_rgg():
         assert np.array_equal(a.edge_array(), b.edge_array())
 
 
+def _scaled_floor(scale):
+    floor = generators._weight_floor
+    return lambda pts, m, strengths: scale * floor(pts, m, strengths)
+
+
+@given(
+    n=st.integers(1, 200),
+    dims=st.integers(1, 4),
+    sigma=st.one_of(st.just(0.0), st.floats(0.0, 1.5)),
+    density=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 0.05), st.floats(0.0, 1.0)),
+    seed=st.integers(0, 2**32 - 1),
+    sample=st.sampled_from([8, 512]),
+    floor_scale=st.sampled_from([1.0, 1e3]),
+)
+@settings(max_examples=150, deadline=None)
+def test_geometric_selection_matches_all_pairs_scan(n, dims, sigma, density, seed, sample,
+                                                    floor_scale):
+    """rgg/rhgg keep exactly the scan's edge set, also when the sampled floor
+    is noisy (few sample points) or far too high (the floor must be lowered)."""
+    with mock.patch.object(generators, "_SAMPLE_POINTS", sample), \
+            mock.patch.object(generators, "_weight_floor", _scaled_floor(floor_scale)):
+        rgg = gen_rgg(n, density, seed, dims=dims)
+        rhgg = gen_rhgg(n, density, seed, dims=dims, lognormal_sigma=sigma)
+    rng = np.random.default_rng(seed)
+    pts = generators._distinct_points(n, dims, rng)
+    strengths = rng.lognormal(0.0, sigma, n) if sigma else np.ones(n)
+    m = round(density * pair_count(n))
+    assert np.array_equal(rgg.codes(), oracle.geometric_top_m_naive(pts, m))
+    assert np.array_equal(rhgg.codes(), oracle.geometric_top_m_naive(pts, m, strengths))
+    if sigma == 0.0:
+        assert np.array_equal(rhgg.codes(), rgg.codes())
+
+
+def test_rhgg_heterogeneous_large_hits_exact_edge_target():
+    # sigma = 1 spreads strengths over ~25 log-strength buckets
+    g = gen_rhgg(20000, 1e-4, seed=4, lognormal_sigma=1.0)
+    assert g.n == 20000 and g.m == round(1e-4 * pair_count(20000))
+    assert int(g.degrees.sum()) == 2 * g.m
+
+
 def test_rhgg_heterogeneity_raises_degree_variance():
     vr = [gen_rgg(600, 0.03, seed=s).degrees.var() for s in range(3)]
     vh = [gen_rhgg(600, 0.03, seed=s, lognormal_sigma=0.5).degrees.var() for s in range(3)]
@@ -171,6 +214,17 @@ def test_config_rejects_non_graphical_sequence_up_front():
     assert time.perf_counter() - start < 0.1
 
 
+def test_config_repair_exhaustion_says_the_sequence_is_graphical():
+    degs = [1, 1, 1, 1, 1, 1, 2, 2, 8]
+    assert oracle.erdos_gallai_violation(degs) is None
+    with pytest.raises(ValueError) as err:
+        gen_config(degs, seed=3)
+    assert str(err.value) == (
+        "degree sequence is graphical, but the double-edge-swap repair gave up after 900 "
+        "attempts (cap: 100 per edge); another seed may realise it")
+    assert gen_config(degs, seed=0).degrees.tolist() == degs
+
+
 @given(st.lists(st.integers(0, 9), min_size=1, max_size=10))
 @settings(max_examples=200, deadline=None)
 def test_config_graphicality_check_matches_oracle(degs):
@@ -185,7 +239,7 @@ def test_config_graphicality_check_matches_oracle(degs):
         assert g.degrees.tolist() == degs
         message = None
     if k is None:  # the swap repair can still get stuck, e.g. on [1]*6 + [2, 2, 8]
-        assert message in (None, "non-graphical or repair exhausted")
+        assert message is None or message in CONFIG_ERRORS and "is graphical" in message
     else:
         assert message == f"degree sequence is not graphical: Erdős–Gallai fails at k={k}"
 
