@@ -42,6 +42,8 @@ MANIFESTS = {
 
 # criterion 8's fig5 manifest with one base: non-edges listed over many blocks
 FIG5_N1000 = RunManifest(experiment="fig5", seed=0, n=1000, base_count=1)
+# criterion 8's fig5 manifest as the acceptance suite runs it
+FIG5_CRITERION8 = RunManifest(experiment="fig5", seed=0)
 
 GOLDEN_CSV = {
     "fig2.csv": "0fd9ac4715a84a37acb7bdd7e678fb60614871dd719f35f4c2997934cc9212bb",
@@ -212,6 +214,13 @@ GOLDEN_BLOCKS = {
     "matching1000-similarity": "22673fead2bc34ee417bf20c680ff724bd41d673c0a0260f1c2dac905656d989",
     "matching1000-combined": "22673fead2bc34ee417bf20c680ff724bd41d673c0a0260f1c2dac905656d989",
     "fig5-n1000.csv": "4bfec146aaf74e96ded35355d88b68af6111b57cc725592fb69743bb50114af9",
+}
+
+# the similarity and combined rows (header excluded) of fig5 at MANIFESTS'
+# manifest and at criterion 8's
+GOLDEN_FIG5_SHARED = {
+    "fig5-tiny-similarity-combined": "4d05edac0533aee2130e06cb25aad7776fc1f26831463e362e8454652458060e",
+    "fig5-criterion8-similarity-combined": "b3beffe0e3f0647f395a74d649eeeb8b3ca1ee37fd40daab10b589111e302392",
 }
 
 
@@ -396,6 +405,16 @@ def csr_hashes(sixnode, tmp_path) -> dict[str, str]:
     return out
 
 
+def fig5_shared_hashes(tmp_path) -> dict[str, str]:
+    out = {}
+    for name, manifest in (("tiny", MANIFESTS["fig5"]), ("criterion8", FIG5_CRITERION8)):
+        (path,) = [p for p in run_experiment(manifest, tmp_path / f"fig5-{name}") if p.suffix == ".csv"]
+        rows = [row for row in path.read_text().splitlines()
+                if row.split(",")[1] in ("similarity", "combined")]
+        out[f"fig5-{name}-similarity-combined"] = _sha("\n".join(rows).encode())
+    return out
+
+
 def csv_hashes(tmp_path) -> dict[str, str]:
     out = {}
     for name, manifest in MANIFESTS.items():
@@ -472,6 +491,10 @@ def test_attachment_over_many_blocks_is_golden(tmp_path):
     assert block_hashes(tmp_path) == GOLDEN_BLOCKS
 
 
+def test_fig5_shared_neighbour_rows_are_golden(tmp_path):
+    assert fig5_shared_hashes(tmp_path) == GOLDEN_FIG5_SHARED
+
+
 def _print_dict(name: str, hashes: dict[str, str]) -> None:
     print(f"{name} = {{")
     for key, value in hashes.items():
@@ -493,3 +516,4 @@ if __name__ == "__main__":
         _print_dict("GOLDEN_IO", io_hashes(Path(tmp)))
         _print_dict("GOLDEN_GEOMETRIC", geometric_hashes())
         _print_dict("GOLDEN_BLOCKS", block_hashes(Path(tmp)))
+        _print_dict("GOLDEN_FIG5_SHARED", fig5_shared_hashes(Path(tmp)))
