@@ -9,8 +9,8 @@ belongs to that point alone.  Run from a checkout:
 
 The scan side generates the same points and strengths and then ranks every
 pair (``tests/oracle.py::geometric_top_m_naive``); for ``add_edges`` it lists
-every non-edge at once (``tests/oracle.py::draw_naive``).  Prints one JSON
-line per run.
+every non-edge at once and indexes the list with the same rank draws.
+Prints one JSON line per run.
 """
 
 from __future__ import annotations
@@ -43,10 +43,11 @@ def _maxrss_mb() -> float:
 
 def child(family: str, n: int, density: float, sigma: float, impl: str) -> dict:
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+    import numpy as np
     import oracle
     from hiercomp import generators
     from hiercomp.attachment import add_edges
-    from hiercomp.graph import from_codes
+    from hiercomp.graph import complement_codes, from_codes
 
     if impl == "scan":
         generators._geometric_top_m = lambda pts, m, s: from_codes(
@@ -58,7 +59,9 @@ def child(family: str, n: int, density: float, sigma: float, impl: str) -> dict:
         before = _maxrss_mb()
         t0 = time.perf_counter()
         if impl == "scan":
-            codes = oracle.draw_naive(base, "random", count, 5)
+            non_edges = complement_codes(n, base.codes())
+            picks = np.random.default_rng(5).choice(non_edges.size, size=count, replace=False)
+            codes = np.sort(np.concatenate((base.codes(), non_edges[picks])))
         else:
             codes = add_edges(base, "random", count, 5).codes()
         out["wall_s"] = time.perf_counter() - t0

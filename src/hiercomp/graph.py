@@ -9,7 +9,9 @@ once.
 
 Edge sets travel between modules in one format: ascending unique int64 pair
 codes ``u * n + v`` with u < v.  :func:`from_codes` is the only way from
-codes to a :class:`Graph` and :meth:`Graph.codes` the way back.
+codes to a :class:`Graph` and :meth:`Graph.codes` the way back.  The absent
+pairs are listed here too, in ascending row blocks, or reached by rank
+without listing them.
 """
 
 from __future__ import annotations
@@ -17,6 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+
+# The complement is listed in ascending row blocks of about this many pairs,
+# so a caller can hold one block, not every absent pair, at a time.
+_BLOCK = 1 << 15
 
 __all__ = [
     "Graph",
@@ -118,32 +124,59 @@ def sorted_unique(codes: np.ndarray) -> np.ndarray:
 def from_codes(n: int, codes: np.ndarray, labels=None) -> Graph:
     """Graph on n nodes from ascending unique pair codes u * n + v, u < v.
 
-    Row i holds its lower neighbours, then its upper ones, each ascending.
-    Codes ascend by (u, v), so the upper neighbours of u are one run of
-    codes, and a stable sort by v lines up the lower neighbours of v.  A
-    code's place in its run is its rank minus the rank of the run's head.
+    Each edge is written from both ends, u * n + v and v * n + u; one sort
+    of both lines up every row, its neighbours ascending.
     """
     n = int(n)
-    lo, hi = np.divmod(np.asarray(codes, dtype=np.int64), n)
-    n_upper = np.bincount(lo, minlength=n)
-    n_lower = np.bincount(hi, minlength=n)
-    degrees = n_lower + n_upper
+    codes = np.asarray(codes, dtype=np.int64)
+    lo, hi = np.divmod(codes, n)
+    degrees = np.bincount(lo, minlength=n) + np.bincount(hi, minlength=n)
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(degrees, out=indptr[1:])
-    rank = np.arange(lo.size)
-    indices = np.empty(2 * lo.size, dtype=np.int64)
-    indices[(indptr[:-1] + n_lower - np.cumsum(n_upper) + n_upper)[lo] + rank] = hi
-    by_hi = np.argsort(hi, kind="stable")
-    indices[(indptr[:-1] - np.cumsum(n_lower) + n_lower)[hi[by_hi]] + rank] = lo[by_hi]
-    return Graph(n=n, m=int(lo.size), indptr=indptr, indices=indices,
+    indices = np.concatenate((codes, hi * n + lo))
+    indices.sort()
+    indices %= n
+    return Graph(n=n, m=int(codes.size), indptr=indptr, indices=indices,
                  degrees=degrees, labels=labels)
 
 
+def _row_starts(n: int) -> np.ndarray:
+    """Rank of pair (u, u + 1) among the pairs u < v in ascending code order."""
+    u = np.arange(n, dtype=np.int64)
+    return u * (2 * n - u - 1) // 2
+
+
+def _non_edge_blocks(n: int, codes: np.ndarray):
+    """Ascending codes of the pairs on n nodes that are not in ``codes``
+    (ascending), one block of rows of about ``_BLOCK`` pairs at a time."""
+    starts = _row_starts(n)
+    u0 = 0
+    while u0 < n - 1:
+        u1 = min(n - 1, max(u0 + 1, int(np.searchsorted(starts, starts[u0] + _BLOCK))))
+        absent = np.arange(n) > np.arange(u0, u1)[:, None]
+        lo, hi = np.searchsorted(codes, (u0 * n, u1 * n))
+        absent.ravel()[codes[lo:hi] - u0 * n] = False
+        yield np.flatnonzero(absent) + u0 * n
+        u0 = u1
+
+
 def complement_codes(n: int, codes: np.ndarray) -> np.ndarray:
-    """Ascending codes of the pairs on n nodes that are not in ``codes``."""
-    absent = np.triu(np.ones((n, n), dtype=bool), k=1).ravel()
-    absent[codes] = False
-    return np.flatnonzero(absent)
+    """Ascending codes of the pairs on n nodes that are not in ``codes``
+    (ascending)."""
+    return np.concatenate([np.empty(0, np.int64), *_non_edge_blocks(n, codes)])
+
+
+def _nth_non_edges(n: int, codes: np.ndarray, nth: np.ndarray) -> np.ndarray:
+    """Codes of the nth (0-based) pairs, in ascending code order, among the
+    pairs on n nodes that are not in ``codes`` (ascending), without listing
+    them."""
+    starts = _row_starts(n)
+    u, v = np.divmod(codes, n)
+    # pairs that are not in codes and rank before each code
+    before = starts[u] + (v - u - 1) - np.arange(codes.size)
+    rank = nth + np.searchsorted(before, nth, side="right")
+    u = np.searchsorted(starts, rank, side="right") - 1
+    return u * n + (rank - starts[u] + u + 1)
 
 
 def nds(g: Graph, i: int) -> np.ndarray:

@@ -3,10 +3,10 @@
 Everything here is written directly from the definitions, in plain Python
 (dicts, sets, math.fsum), on purpose: the production package is numpy-based
 and these routines must not share code with it.  Slow is fine; these only
-run on small graphs inside the test suite.  The exceptions are earlier,
-materialising versions of production paths, kept in numpy as references
-for their streamed replacements (the all-pairs geometric scan, the listed
-non-edge draw).
+run on small graphs inside the test suite.  The exceptions are earlier
+versions of production paths, kept in numpy as references for their
+replacements (the all-pairs geometric scan, the per-pair rejection loop of
+degree-sum attachment).
 """
 
 from __future__ import annotations
@@ -307,33 +307,70 @@ def geometric_top_m_naive(pts, m: int, strengths=None):
 
 
 # ---------------------------------------------------------------------------
-# random / hierarchical attachment with every non-edge listed at once
+# attachment draws, one non-edge at a time or from the listed complement
+
+
+def rejection_sample(g, count: int, rng, node_p=None, taken=None):
+    """Codes of ``count`` distinct non-edges, drawn without O(n^2) enumeration.
+
+    With ``node_p`` one end is drawn from it and the other uniformly among
+    the remaining nodes (degree-sum weighting); otherwise both ends are
+    uniform.  Pairs in ``taken`` are rejected like edges and earlier picks.
+    """
+    n = g.n
+    seen = set() if taken is None else set(taken.tolist())
+    out: list[int] = []
+    batch = max(1024, 4 * count)
+    draws = 0
+    limit = 2000 * (count + 100)
+    while len(out) < count:
+        if draws > limit:
+            raise RuntimeError("rejection sampling stalled; graph too dense for this path")
+        draws += batch
+        if node_p is not None:
+            ii = rng.choice(n, size=batch, p=node_p)
+            jj = rng.integers(0, n - 1, size=batch)
+            jj += jj >= ii
+        else:
+            ii = rng.integers(0, n, size=batch)
+            jj = rng.integers(0, n, size=batch)
+        for i, j in zip(ii.tolist(), jj.tolist()):
+            code = i * n + j if i < j else j * n + i
+            if i == j or code in seen or g.has_edge(i, j):
+                continue
+            seen.add(code)
+            out.append(code)
+            if len(out) == count:
+                break
+    return np.array(out, dtype=np.int64)
+
+
+def uniform_naive(g, taken, count: int, rng):
+    """Codes of ``count`` distinct non-edges of g outside ``taken``: the
+    ascending complement, indexed by ``rng.choice`` draws."""
+    n = g.n
+    closed = set(g.codes().tolist()) | set(np.asarray(taken).tolist())
+    others = [u * n + v for u in range(n) for v in range(u + 1, n) if u * n + v not in closed]
+    picks = rng.choice(len(others), size=count, replace=False)
+    return np.array(others, dtype=np.int64)[picks]
 
 
 def draw_naive(g, mechanism: str, count: int, seed: int):
-    """Ascending edge codes of g plus ``count`` new random or hierarchical
-    edges: every non-edge listed in one array, keys Exp(1)/w for the listed
-    positive weights (uniform when none is positive), the smallest ``count``
-    keys win, and a shortfall is drawn uniformly among the unlisted non-edges."""
+    """Ascending edge codes of g plus ``count`` new similarity or combined
+    edges: keys Exp(1)/w over the positive weights of :func:`nonedge_weights`
+    in ascending code order, the smallest ``count`` keys win, and a shortfall
+    (or a map with no positive weight) is drawn by :func:`uniform_naive`."""
     n = g.n
-    edges = g.codes()
-    absent = np.triu(np.ones((n, n), dtype=bool), k=1).ravel()
-    absent[edges] = False
-    non_edges = np.flatnonzero(absent)
-    if mechanism == "random":
-        codes, weights = non_edges, np.ones(non_edges.size)
-    elif mechanism == "hierarchical":
-        weights = (g.degrees[non_edges // n] + g.degrees[non_edges % n]).astype(np.float64)
-        codes, weights = non_edges[weights > 0], weights[weights > 0]
-    else:
-        raise ValueError(mechanism)
-    if codes.size == 0:
-        codes, weights = non_edges, np.ones(non_edges.size)
+    weights = nonedge_weights(adjacency(n, g.edge_array().tolist()), mechanism)
+    positive = sorted((u * n + v, w) for (u, v), w in weights.items() if w > 0)
+    codes = np.array([c for c, _ in positive], dtype=np.int64)
     rng = np.random.default_rng(seed)
-    keys = rng.exponential(size=codes.size) / weights
-    if count <= codes.size:
-        new = codes[np.argpartition(keys, count - 1)[:count]]
+    if codes.size == 0:
+        new = uniform_naive(g, codes, count, rng)
     else:
-        others = np.setdiff1d(non_edges, codes, assume_unique=True)
-        new = np.concatenate((codes, rng.choice(others, size=count - codes.size, replace=False)))
-    return np.sort(np.concatenate((edges, new)))
+        keys = rng.exponential(size=codes.size) / np.array([w for _, w in positive])
+        if count <= codes.size:
+            new = codes[np.argsort(keys)[:count]]
+        else:
+            new = np.concatenate((codes, uniform_naive(g, codes, count - codes.size, rng)))
+    return np.sort(np.concatenate((g.codes(), new)))

@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracle
-from hiercomp import attachment
+from hiercomp import graph
 from hiercomp.attachment import (
     DEFAULT_FRACTIONS,
     MECHANISMS,
@@ -98,9 +98,6 @@ def test_enumeration_cap_above_8192_nodes():
     # only the 17998 pairs touching node 0 or 1 are listed
     wmap = edge_weights(build_graph([(0, 1)], n_hint=9001), "hierarchical")
     assert wmap.codes.size == 17998 and (wmap.weights == 1.0).all()
-    # the uniform fallback lists no pairs up there
-    wmap = edge_weights(build_graph(TWO_DISJOINT, n_hint=9001), "similarity")
-    assert wmap.uniform_fallback and wmap.codes.size == 0
 
 
 def test_add_edges_keeps_labels(tmp_path):
@@ -158,37 +155,89 @@ def test_add_edges_widens_candidate_set_when_needed():
     assert len(np.unique(codes)) == h.m
 
 
+def reference_draw(g, mechanism: str, count: int, seed: int) -> np.ndarray:
+    """Ascending edge codes of g plus ``count`` new edges, from the oracles:
+    uniform picks from the listed complement for random, the per-pair
+    rejection loop for hierarchical (or every weighted pair and a uniform
+    top-up when the batch needs them all), and draw_naive's keys for
+    similarity/combined."""
+    if mechanism in ("similarity", "combined"):
+        return oracle.draw_naive(g, mechanism, count, seed)
+    rng = np.random.default_rng(seed)
+    adj = oracle.adjacency(g.n, g.edge_array().tolist())
+    weights = oracle.nonedge_weights(adj, mechanism)
+    positive = np.array(sorted(u * g.n + v for (u, v), w in weights.items() if w > 0),
+                        dtype=np.int64)
+    if mechanism == "random" or positive.size == 0:
+        new = oracle.uniform_naive(g, np.empty(0, np.int64), count, rng)
+    elif count < positive.size:
+        degrees = np.array([len(adj[i]) for i in range(g.n)])
+        new = oracle.rejection_sample(g, count, rng, node_p=degrees / degrees.sum())
+    else:
+        extra = oracle.uniform_naive(g, positive, count - positive.size, rng)
+        new = np.concatenate((positive, extra))
+    return np.sort(np.concatenate((g.codes(), new)))
+
+
 @given(
     active=st.integers(2, 120),
     isolated=st.integers(0, 300),
     p=st.floats(0.0, 0.5),
     share=st.floats(0.0, 1.0),
-    mechanism=st.sampled_from(["random", "hierarchical"]),
+    mechanism=st.sampled_from(MECHANISMS),
     seed=st.integers(0, 2**32 - 1),
     block=st.sampled_from([64, 1 << 15]),
 )
 @settings(max_examples=80, deadline=None)
 def test_add_edges_matches_listed_draw(active, isolated, p, share, mechanism, seed, block):
-    """Row-block listing draws exactly what listing every non-edge at once drew,
-    across blocks, isolated nodes, top-ups and counts up to every non-edge."""
+    """Each mechanism's draw gives exactly the oracle's edges, across isolated
+    nodes, uniform fallbacks, top-ups and counts up to every non-edge, with
+    the complement listed in small or large row blocks."""
     g = build_graph(gen_er(active, p, seed).edge_array(), n_hint=active + isolated)
     assume(non_edge_count(g) > 0)
     count = max(1, round(share * non_edge_count(g)))
-    with mock.patch.object(attachment, "_BLOCK", block):
+    with mock.patch.object(graph, "_BLOCK", block):
         h = add_edges(g, mechanism, count, seed)
-    assert np.array_equal(h.codes(), oracle.draw_naive(g, mechanism, count, seed))
+    assert np.array_equal(h.codes(), reference_draw(g, mechanism, count, seed))
+
+
+@pytest.mark.parametrize("mechanism", MECHANISMS)
+def test_first_pick_frequencies_match_weights(mechanism):
+    """With count = 1 a mechanism picks each non-edge with probability
+    weight / total weight (5 binomial sds), and never a zero-weight pair."""
+    g = build_graph([(0, 1), (1, 2), (2, 3), (1, 3), (3, 4)], n_hint=7)  # 5, 6 isolated
+    weights = oracle.nonedge_weights(oracle.adjacency(g.n, g.edge_array().tolist()), mechanism)
+    total = sum(weights.values())
+    trials = 1500
+    picks = {pair: 0 for pair in weights}
+    old = set(g.codes().tolist())
+    for seed in range(trials):
+        (code,) = set(add_edges(g, mechanism, 1, seed).codes().tolist()) - old
+        picks[divmod(code, g.n)] += 1
+    for pair, w in weights.items():
+        q = w / total
+        assert abs(picks[pair] - trials * q) <= 5 * np.sqrt(trials * q * (1 - q)), (pair, picks)
 
 
 def test_non_edge_blocks_cover_every_non_edge_in_order():
     edges = {(0, 5), (1, 2), (3, 299), (298, 299), (150, 151)}
     g = build_graph(sorted(edges), n_hint=300)
-    with mock.patch.object(attachment, "_BLOCK", 100):
-        blocks = list(attachment._non_edge_blocks(g))
+    with mock.patch.object(graph, "_BLOCK", 100):
+        blocks = list(graph._non_edge_blocks(g.n, g.codes()))
     assert len(blocks) > 200
     listed = np.concatenate(blocks)
     expected = [i * 300 + j for i in range(300) for j in range(i + 1, 300)
                 if (i, j) not in edges]
     assert listed.tolist() == expected
+
+
+def test_hierarchical_draw_has_no_draw_cap():
+    # K1000 plus one isolated node: the 999 new edges are 999 of the 1000
+    # pairs at the isolated node, about 7.5M draws in all
+    k = 1000
+    g = build_graph([(i, j) for i in range(k) for j in range(i + 1, k)], n_hint=k + 1)
+    h = add_edges(g, "hierarchical", k - 1, seed=0)
+    assert h.degrees[k] == k - 1 and h.m == g.m + k - 1
 
 
 def test_large_graph_rejection_path():

@@ -49,7 +49,7 @@ GOLDEN_CSV = {
     "fig2.csv": "0fd9ac4715a84a37acb7bdd7e678fb60614871dd719f35f4c2997934cc9212bb",
     "fig4.csv": "010a9e63dfe1e629514aaf9d35c27f1e68e07acd684ea63cb4bba451a01cf625",
     "fig4_profile.csv": "1e5c5d82db3002490feb4b3a3ca56a02db6e693c282ebf3c6eae2093441e0681",
-    "fig5.csv": "79682d6c5a635552fc476bbbd3f755cda1251a0d9b410c2e7cd09f9b1ed0e821",
+    "fig5.csv": "4e5a7d2532d2bb0754b63ae5e26b7f5bbb7e9a77554463b71f3d63fec4bf32df",
 }
 
 GOLDEN_REPORTS = {
@@ -106,27 +106,28 @@ GOLDEN_CSR = {
     "rhgg-5-empty": "bbd98bcc1a6d5001cfccf0a8ec6a2afb1200019fb22777aa70a21565ec2ede4f",
     "config-zeros": "2a48c30ef732845458e5584712134ce33f6afb38e19e18e25a7e7b3497aa1e40",
     "build-messy": "c6760f155660a4f335a0131bfe83e9150ce84caffdb387454db19ef7a2b6c9a2",
-    "rgg90-add-random": "9ea5cfac0bbe7ff2b641725531f19cb95f68e9f263fc5db7d3e18c0059ef4cc6",
-    "rgg90-add-hierarchical": "fc2255d5b334f0b7a28dd84840da78680c85853b4e2362e688af3905dd9ca3de",
+    "rgg90-add-random": "2fffaa0ac96588c236be8dfbfe8b8593d4babf297db422c159c41a6dc0b0d932",
+    "rgg90-add-hierarchical": "67c470e7cf0d76e7e70238381cf2e997b82102e7a03565468af7f3c2aa798b9e",
     "rgg90-add-similarity": "68460aaa6a320dbb1847696ec4edb26de54f0509f182e3a65a768b2195f9531b",
     "rgg90-add-combined": "0a31189309f29303cd435e03c61a20c74113e475d2ad2d582843eedfcea1f961",
-    "k2-200-hierarchical": "dd9ae44ac827350d92f1de398d05919ec059d8defbf9cd00bf8b55a76420e414",
+    "k2-200-hierarchical": "3ddd965618b0512ba59ce0ff217f2fcaa3ff540030e0b4ad730e72e8b5ff6943",
     "rhgg-90-file": "d210a15a0b414db3a2f94015f99b117ec9751d3f239525dd894e387fbdc12791",
     "rhgg-90-reread": "5f165fb0fb7fa84b27260faef6d7e11ea7cda40b82b4c64d141a464d7da2ea49",
 }
 
-# add_edges above n = 8192, where random and hierarchical sample by rejection
+# add_edges above n = 8192 (the draws do not depend on n; these pin the same
+# paths on graphs too large to list every non-edge)
 GOLDEN_LARGE = {
-    "er9000-random": "4f3b4d1e2828b587fa6f0a487563c7a93fa5021f6e38502050da5af25046d46b",
+    "er9000-random": "d1b2f8bc90818f72ec2e64e8cc0765b9d4f99490e6d309498cf399aaa167f0d8",
     "er9000-hierarchical": "918582e9e97401dbe242f3defa30a13571a0ce981f78dba40fd1c1898b6fae30",
     "er9000-similarity": "cf8a76f0efc40119dd25cb55df2e99f59728d09a0478ab442ef183d306351a9c",
     "er9000-combined": "0119b808f4d164acc5185a710610d8d54609a8b65249b5f64294c658559e63f4",
-    "empty9000-hierarchical": "e79fc7269319f93c6f068af92227193651123f5e7be844819bf0a913a5d0831b",
-    "disjoint9001-similarity": "ff6102c94a6a5d6b395dea61ce76c44b769c8c01cdfa38281072f4b80756dc4f",
-    "disjoint9001-combined": "ff6102c94a6a5d6b395dea61ce76c44b769c8c01cdfa38281072f4b80756dc4f",
-    "p3pad9001-similarity": "3c55403240f923051c5711f7663981c1f472001b4deae5c872e4b497a1a3aa7d",
-    "p3pad9001-combined": "3c55403240f923051c5711f7663981c1f472001b4deae5c872e4b497a1a3aa7d",
-    "k2pad9001-hierarchical": "808b52e2c3af4901eaf652aa9fa5cf57fecee5348582391b854f5fa0741265d0",
+    "empty9000-hierarchical": "890089bd718c84bfa55da25de23e996f37243686c3a2cebb838bc60c5744438f",
+    "disjoint9001-similarity": "7d567798a369e2e4cf3d7c773d7e13672a1d873467fd379e984e086d3a01af0d",
+    "disjoint9001-combined": "7d567798a369e2e4cf3d7c773d7e13672a1d873467fd379e984e086d3a01af0d",
+    "p3pad9001-similarity": "903b831d9b6fc4fe51b85e45e18285b3f501736652537aacab66dcafdfb671c6",
+    "p3pad9001-combined": "903b831d9b6fc4fe51b85e45e18285b3f501736652537aacab66dcafdfb671c6",
+    "k2pad9001-hierarchical": "be7c9874ba93c70988f837a95e48b3a7a85a1a3b2e452118ed441fcbf2b48a6f",
 }
 
 # read_edgelist (CSR, n and labels), write_edgelist bytes, build_graph on
@@ -197,23 +198,23 @@ GOLDEN_GEOMETRIC = {
     "rhgg-600-mu-sigma1.0": "b6842d840b033bbf80a47096afc7a8bcc6ed99c1859e8e55f173aa97e6b0d14d",
 }
 
-# add_edges random / hierarchical on graphs whose non-edges span many blocks
-# of the listing, with top-ups among isolated nodes and uniform fallbacks
+# add_edges on graphs whose non-edges span many row blocks of the complement,
+# with top-ups among isolated nodes and uniform fallbacks
 GOLDEN_BLOCKS = {
-    "rhgg1000-random": "b06a2cb7f65d61bbe0556d7dbf41f4dc04b7ef3a97e824d0f5f4b1a050708b10",
-    "rhgg1000-hierarchical": "7b629d375b8b368b018a45908bfd40ebe9147d4529ee8d15a5bd40fcf93cc854",
-    "er3000-random": "610f7642b98c76eef7a489209bc35a19e8b149d56760beb141e4bd10d99b8e88",
-    "er3000-hierarchical": "a9090a9f47883cc484086f264223891727a3ecbff5d31206487c5f7be25c6079",
+    "rhgg1000-random": "d132c9031b94a52a9981ee65101c1b6014fdc0aa9853c90ebc3ff0814d3a0e96",
+    "rhgg1000-hierarchical": "2937465d6683dd3b844e6b857f5be5229a2514d4996b4ece38adcf6a7ef1af80",
+    "er3000-random": "02439a5159465ff5ae1244484bd3b40cdd2a64a1d1d9a3402494ab440902a458",
+    "er3000-hierarchical": "551ff11ef745afa9179387f709f60f51e5e138d86f082360bff7a585fa666bcd",
     "rhgg1000-random-all": "2957d94084e46c6b5cfcda8209a8888107ebc3cd721a8d6297e70e6213987054",
-    "path30pad1000-hierarchical": "4e3d7ac23fce0730b1eb709b43a64c8258a76ee860c53b1caff4a657599a5349",
+    "path30pad1000-hierarchical": "2facc4c8fde9b43dda6cd90e063916cbc499461e344edb9570637690ca339f6e",
     "path30pad1000-similarity": "e55783d47dcb7958a0fd4ef22bf5ee4beb8d4fe78d32f5dd3513eb9d8639da46",
-    "path5pad3000-hierarchical": "03252c3b1e309e010aa2e5c734a1d6a27b6b5a201a2eb43f76361fb88ad9d92a",
+    "path5pad3000-hierarchical": "5a172582c07d9871fbb1308d7dc7c504a9c2efe3a6d5ac997613814156a1b40e",
     "path5pad3000-similarity": "d139a28d653c3c6a686b68315277ce34ffc5d40c60395754ba425ba165f98271",
-    "empty1000-hierarchical": "70ccefebee7e641b6c14ef6e7792b1b37a72fac54d71f1766ba9488a16a199bd",
-    "empty3000-hierarchical": "a811ca96d8aeeb7a3ec874e94300d453f5b994cb854512a5f1a1a12ee64edfc9",
-    "matching1000-similarity": "22673fead2bc34ee417bf20c680ff724bd41d673c0a0260f1c2dac905656d989",
-    "matching1000-combined": "22673fead2bc34ee417bf20c680ff724bd41d673c0a0260f1c2dac905656d989",
-    "fig5-n1000.csv": "4bfec146aaf74e96ded35355d88b68af6111b57cc725592fb69743bb50114af9",
+    "empty1000-hierarchical": "6a4748f09d99f32701695b8d241020d325e580b8b9ca1819b74b85a6a623de65",
+    "empty3000-hierarchical": "c2ced13ebcc79e9dcf9158bc9cd7e25975c5dfa3d7647f75d81ea69527a2f737",
+    "matching1000-similarity": "04036679daea0dc13a3fc489b1ad0ae98c5257a3cae094bbeda18fdee7bb5883",
+    "matching1000-combined": "04036679daea0dc13a3fc489b1ad0ae98c5257a3cae094bbeda18fdee7bb5883",
+    "fig5-n1000.csv": "a1cfa3d76ac10e7faada53672cb045c54c772061d598c999b567a2e781e47bd7",
 }
 
 # the similarity and combined rows (header excluded) of fig5 at MANIFESTS'

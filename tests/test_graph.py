@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
+from hiercomp import graph
 from hiercomp.graph import (
     Graph,
     build_graph,
+    complement_codes,
     component_count,
     degree_support_d2,
     from_codes,
@@ -93,6 +97,22 @@ def test_from_codes_matches_build_graph():
     assert a.codes().tolist() == codes.tolist() == b.codes().tolist()
     empty = from_codes(3, np.empty(0, np.int64))
     assert (empty.m, empty.degrees.tolist(), empty.indptr.tolist()) == (0, [0, 0, 0], [0, 0, 0, 0])
+
+
+@given(n=st.integers(1, 40), p=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1),
+       block=st.sampled_from([1, 7, 1 << 15]))
+@settings(max_examples=60, deadline=None)
+def test_complement_and_nth_pair_match_the_absent_pairs(n, p, seed, block):
+    rng = np.random.default_rng(seed)
+    pairs = [u * n + v for u in range(n) for v in range(u + 1, n)]
+    present = sorted(c for c in pairs if rng.random() < p)
+    absent = [c for c in pairs if c not in set(present)]
+    codes = np.array(present, dtype=np.int64)
+    with mock.patch.object(graph, "_BLOCK", block):
+        listed = complement_codes(n, codes)
+    assert listed.dtype == np.int64 and listed.tolist() == absent
+    nth = np.arange(len(absent))
+    assert graph._nth_non_edges(n, codes, nth).tolist() == absent
 
 
 def test_graph_arrays_are_read_only():
