@@ -224,6 +224,25 @@ GOLDEN_FIG5_SHARED = {
     "fig5-criterion8-similarity-combined": "b3beffe0e3f0647f395a74d649eeeb8b3ca1ee37fd40daab10b589111e302392",
 }
 
+# gen_config's stub pairing and swap repair: the benchmark's model_sweep rhg
+# points at seed REPAIR_SEED, (600, 0.45) sparse and (600, 0.7) through the
+# complement; two seeds whose shuffle leaves PCG64's spare 32-bit half unset
+# and set; one edge; and the exact text of a repair that gives up
+REPAIR_SEED = 5
+REPAIR_GRID = ((2000, 0.01), (1000, 0.1), (600, 0.45), (600, 0.7))
+REPAIR_SPARE_SEEDS = {"no-spare": 0, "spare": 2}
+GOLDEN_REPAIR = {
+    "model-sweep-rhg-2000-0.01": "48eccb59db53986273ff98cf253ef500f229ecbc619e08c95e72bff9ca1dea92",
+    "model-sweep-rhg-1000-0.1": "4908cb8f3e61eba2773195b780e4c47615d89e62d94edc1f64b275cf08002f14",
+    "model-sweep-rhg-600-0.45": "e071e53a8a1418aeca5c7e2df9865409c9c4e3e494f047443b056f23a27eeeff",
+    "model-sweep-rhg-600-0.7": "99b116363acdf6ff11c8f524157281e524e2704e425b9b3db2183d0a930fb2ae",
+    "rhgg200-no-spare": "71570c426e5efce82393502c0c4b1f89daf5b26e4fa8f4f3ea1fae6fd04cfff5",
+    "rhgg200-spare": "ab1655ed116f23a7f14e1ec1bbcc300b928526bf312ca343765829fa247061d4",
+    "one-edge": "9fb71faf6eb822a716f340219250f0930621c9bdee1ffea2aabeb8ca359fd6c8",
+    "give-up-text": ("degree sequence is graphical, but the double-edge-swap repair gave up after "
+                     "900 attempts (cap: 100 per edge); another seed may realise it"),
+}
+
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -416,6 +435,29 @@ def fig5_shared_hashes(tmp_path) -> dict[str, str]:
     return out
 
 
+def _spare_after_shuffle(deg, seed: int) -> bool:
+    rng = np.random.default_rng(seed)
+    rng.shuffle(np.repeat(np.arange(len(deg), dtype=np.int64), deg))
+    return bool(rng.bit_generator.state["has_uint32"])
+
+
+def repair_hashes() -> dict[str, str]:
+    out = {}
+    for p, (n, d) in enumerate(REPAIR_GRID):
+        spec = ModelSpec(family="rhg", n=n, target=d, seed=child_seed(REPAIR_SEED, 3, p))
+        out[f"model-sweep-rhg-{n}-{d}"] = _csr_sha(generate(spec))
+    deg = gen_rhgg(200, 0.05, seed=17).degrees
+    for name, seed in REPAIR_SPARE_SEEDS.items():
+        assert _spare_after_shuffle(deg, seed) == (name == "spare"), name
+        out[f"rhgg200-{name}"] = _csr_sha(gen_config(deg, seed))
+    out["one-edge"] = _csr_sha(gen_config([1, 0, 1], seed=0))
+    try:
+        gen_config([1, 1, 1, 1, 1, 1, 2, 2, 8], seed=3)
+    except ValueError as exc:
+        out["give-up-text"] = str(exc)
+    return out
+
+
 def csv_hashes(tmp_path) -> dict[str, str]:
     out = {}
     for name, manifest in MANIFESTS.items():
@@ -496,6 +538,10 @@ def test_fig5_shared_neighbour_rows_are_golden(tmp_path):
     assert fig5_shared_hashes(tmp_path) == GOLDEN_FIG5_SHARED
 
 
+def test_config_repair_is_golden():
+    assert repair_hashes() == GOLDEN_REPAIR
+
+
 def _print_dict(name: str, hashes: dict[str, str]) -> None:
     print(f"{name} = {{")
     for key, value in hashes.items():
@@ -518,3 +564,4 @@ if __name__ == "__main__":
         _print_dict("GOLDEN_GEOMETRIC", geometric_hashes())
         _print_dict("GOLDEN_BLOCKS", block_hashes(Path(tmp)))
         _print_dict("GOLDEN_FIG5_SHARED", fig5_shared_hashes(Path(tmp)))
+    _print_dict("GOLDEN_REPAIR", repair_hashes())
