@@ -24,8 +24,8 @@ candidate pairs, about m, not n^2.
 
 from __future__ import annotations
 
+import logging
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +43,8 @@ __all__ = [
 ]
 
 _FAMILIES = ("er", "rgg", "rhgg", "rhg")
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -305,9 +307,16 @@ def gen_config(degree_sequence, seed: int) -> Graph:
     inequalities, before any random draw.  Stubs are shuffled and paired;
     self-loops and duplicate edges are then repaired with random double-edge
     swaps (cap: 100 * m attempts; a graphical sequence can still exhaust it,
-    and the error says so).  Dense
-    sequences (density > 1/2) are paired in the complement and inverted,
-    which keeps the repair tractable without touching the degree contract.
+    and the error says so).  Dense sequences (density > 1/2) are paired in
+    the complement and inverted, which keeps the repair tractable without
+    touching the degree contract.
+
+    The repair is sequential, but each round finds its bad edges with one
+    sort, and each attempt's partner index and flip are replayed from the
+    generator's raw words, so the edge set is the one that drawing every
+    number through ``rng.integers`` and ``rng.random`` gives.  Each pairing
+    logs one DEBUG record ``repair n=… m=… bad=… rounds=… attempts=…`` on
+    the ``hiercomp.generators`` logger (for the complement when paired there).
     """
     deg = np.asarray(list(degree_sequence), dtype=np.int64)
     n = deg.size
@@ -346,54 +355,129 @@ def _repair_gave_up(m: int) -> str:
             f"after {100 * m} attempts (cap: 100 per edge); another seed may realise it")
 
 
+_RAW_BLOCK = 1 << 14  # raw words fetched from the bit generator at a time
+
+
+class _Pcg64Replay:
+    """``rng.integers(m)`` and ``rng.random() < 0.5`` of a PCG64 generator,
+    replayed from its raw 64-bit words in plain integer arithmetic.
+
+    For m < 2**32 numpy draws ``integers(m)`` with Lemire's 32-bit method
+    (ACM TOMACS 29(1), 2019) on PCG64's ``next_uint32``, which returns the
+    low half of a fresh word and keeps the high half for its next call.
+    ``random()`` is ``(word >> 11) * 2**-53``: below 0.5 exactly when the
+    word's top bit is clear, and it leaves the spare half alone.  The
+    replayer reads the spare half once and then takes words in blocks, so
+    the generator itself runs ahead of the draws replayed.
+    """
+
+    def __init__(self, rng: np.random.Generator, m: int) -> None:
+        bit_generator = rng.bit_generator
+        state = bit_generator.state
+        if state["bit_generator"] != "PCG64":
+            raise ValueError(f"can replay PCG64 only, not {state['bit_generator']}")
+        if not 1 <= m < 1 << 32:
+            raise ValueError(f"can replay integers(m) for 1 <= m < 2**32 only, not m={m}")
+        self.m = m
+        self.threshold = ((1 << 32) - m) % m  # Lemire rejects a low product below this
+        self.spare = state["uinteger"] if state["has_uint32"] else None
+        self.word = self._words(bit_generator).__next__
+
+    @staticmethod
+    def _words(bit_generator):
+        while True:
+            yield from bit_generator.random_raw(_RAW_BLOCK).tolist()
+
+    def index(self) -> int:
+        """``rng.integers(m)``; it draws nothing at m = 1."""
+        m = self.m
+        if m == 1:
+            return 0
+        while True:
+            if self.spare is None:
+                word = self.word()
+                x, self.spare = word & 0xFFFFFFFF, word >> 32
+            else:
+                x, self.spare = self.spare, None
+            product = x * m
+            if product & 0xFFFFFFFF >= self.threshold:
+                return product >> 32
+
+    def coin(self) -> bool:
+        """``rng.random() < 0.5``."""
+        return self.word() < 1 << 63
+
+
+def _bad_edges(codes: np.ndarray, n: int) -> np.ndarray:
+    """Ascending indices of self-loops (u*n + u = u*(n+1)) and of every copy
+    of a repeated pair."""
+    s = np.sort(codes)
+    repeated = s[1:][s[1:] == s[:-1]]
+    return np.flatnonzero((codes % (n + 1) == 0) | np.isin(codes, repeated))
+
+
 def _pair_and_repair(deg: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Ascending pair codes of a simple graph with degree sequence deg."""
+    """Ascending pair codes of a simple graph with degree sequence deg.
+
+    Each round scans for bad edges (self-loops, repeated pairs) and fixes
+    them in index order: a bad edge (a, b) swaps with a uniform partner
+    (c, d), flipped with probability 1/2, into (a, c) and (b, d) when both
+    are new distinct pairs.  Every draw is the one ``rng.integers(m)`` or
+    ``rng.random() < 0.5`` would make (see :class:`_Pcg64Replay`).
+    """
     n = deg.size
     stubs = np.repeat(np.arange(n, dtype=np.int64), deg)
     rng.shuffle(stubs)
     half = stubs.reshape(-1, 2)
-    edges: list[int] = (half.min(axis=1) * n + half.max(axis=1)).tolist()
-    m = len(edges)
-    if m == 0:
-        return np.empty(0, np.int64)
-    count: Counter[int] = Counter(edges)
-
-    def is_bad(code: int) -> bool:
-        return code % (n + 1) == 0 or count[code] > 1  # u*n + u = u*(n+1)
-
-    max_attempts = 100 * m
-    attempts = 0
-    while True:
-        bad = [idx for idx, code in enumerate(edges) if is_bad(code)]
-        if not bad:
-            return np.sort(np.array(edges, dtype=np.int64))
-        for idx in bad:
-            if not is_bad(edges[idx]):
-                continue
-            while True:
-                if attempts >= max_attempts:
-                    raise ValueError(_repair_gave_up(m))
-                attempts += 1
-                j = int(rng.integers(m))
-                if j == idx:
+    codes = half.min(axis=1) * n + half.max(axis=1)
+    m = codes.size
+    bad = _bad_edges(codes, n)
+    first_bad, rounds, attempts = bad.size, 0, 0
+    try:
+        if not bad.size:
+            return np.sort(codes)
+        edges: list[int] = codes.tolist()
+        s = np.sort(codes)
+        first = np.flatnonzero(np.r_[True, s[1:] != s[:-1]])
+        count = dict(zip(s[first].tolist(), np.diff(np.r_[first, m]).tolist()))
+        replay = _Pcg64Replay(rng, m)
+        index, coin, held = replay.index, replay.coin, count.get
+        max_attempts = 100 * m
+        while bad.size:
+            rounds += 1
+            for idx in bad.tolist():
+                code = edges[idx]
+                if code % (n + 1) and count[code] == 1:  # mended by an earlier swap
                     continue
-                a, b = divmod(edges[idx], n)
-                c, d = divmod(edges[j], n)
-                if rng.random() < 0.5:
-                    c, d = d, c
-                if a == c or b == d:
-                    continue
-                q1 = a * n + c if a < c else c * n + a
-                q2 = b * n + d if b < d else d * n + b
-                if q1 == q2 or count[q1] >= 1 or count[q2] >= 1:
-                    continue
-                count[edges[idx]] -= 1
-                count[edges[j]] -= 1
-                count[q1] += 1
-                count[q2] += 1
-                edges[idx] = q1
-                edges[j] = q2
-                break
+                a, b = divmod(code, n)
+                while True:
+                    if attempts >= max_attempts:
+                        raise ValueError(_repair_gave_up(m))
+                    attempts += 1
+                    j = index()
+                    if j == idx:
+                        continue
+                    c, d = divmod(edges[j], n)
+                    if coin():
+                        c, d = d, c
+                    if a == c or b == d:
+                        continue
+                    q1 = a * n + c if a < c else c * n + a
+                    q2 = b * n + d if b < d else d * n + b
+                    if q1 == q2 or held(q1) or held(q2):
+                        continue
+                    count[code] -= 1
+                    count[edges[j]] -= 1
+                    count[q1] = count[q2] = 1
+                    edges[idx] = q1
+                    edges[j] = q2
+                    break
+            codes = np.array(edges, dtype=np.int64)
+            bad = _bad_edges(codes, n)
+        return np.sort(codes)
+    finally:
+        log.debug("repair n=%d m=%d bad=%d rounds=%d attempts=%d",
+                  n, m, first_bad, rounds, attempts)
 
 
 def generate(spec: ModelSpec) -> Graph:

@@ -6,13 +6,15 @@ and these routines must not share code with it.  Slow is fine; these only
 run on small graphs inside the test suite.  The exceptions are earlier
 versions of production paths, kept in numpy as references for their
 replacements (the all-pairs geometric scan, the per-pair rejection loop of
-degree-sum attachment).
+degree-sum attachment, the stub-pairing repair that draws through numpy one
+number at a time).
 """
 
 from __future__ import annotations
 
 import math
 import re
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -374,3 +376,62 @@ def draw_naive(g, mechanism: str, count: int, seed: int):
         else:
             new = np.concatenate((codes, uniform_naive(g, codes, count - codes.size, rng)))
     return np.sort(np.concatenate((g.codes(), new)))
+
+
+# ---------------------------------------------------------------------------
+# configuration-model repair, one numpy draw per random number
+
+
+def pair_and_repair_naive(deg: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Ascending pair codes of a simple graph with degree sequence deg: the
+    stub pairing and double-edge-swap repair that ``generators`` replays from
+    raw words, drawing each number through ``rng.integers`` / ``rng.random``."""
+    n = deg.size
+    stubs = np.repeat(np.arange(n, dtype=np.int64), deg)
+    rng.shuffle(stubs)
+    half = stubs.reshape(-1, 2)
+    edges: list[int] = (half.min(axis=1) * n + half.max(axis=1)).tolist()
+    m = len(edges)
+    if m == 0:
+        return np.empty(0, np.int64)
+    count: Counter[int] = Counter(edges)
+
+    def is_bad(code: int) -> bool:
+        return code % (n + 1) == 0 or count[code] > 1  # u*n + u = u*(n+1)
+
+    max_attempts = 100 * m
+    attempts = 0
+    while True:
+        bad = [idx for idx, code in enumerate(edges) if is_bad(code)]
+        if not bad:
+            return np.sort(np.array(edges, dtype=np.int64))
+        for idx in bad:
+            if not is_bad(edges[idx]):
+                continue
+            while True:
+                if attempts >= max_attempts:
+                    raise ValueError(
+                        f"degree sequence is graphical, but the double-edge-swap repair gave "
+                        f"up after {100 * m} attempts (cap: 100 per edge); another seed may "
+                        f"realise it")
+                attempts += 1
+                j = int(rng.integers(m))
+                if j == idx:
+                    continue
+                a, b = divmod(edges[idx], n)
+                c, d = divmod(edges[j], n)
+                if rng.random() < 0.5:
+                    c, d = d, c
+                if a == c or b == d:
+                    continue
+                q1 = a * n + c if a < c else c * n + a
+                q2 = b * n + d if b < d else d * n + b
+                if q1 == q2 or count[q1] >= 1 or count[q2] >= 1:
+                    continue
+                count[edges[idx]] -= 1
+                count[edges[j]] -= 1
+                count[q1] += 1
+                count[q2] += 1
+                edges[idx] = q1
+                edges[j] = q2
+                break

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import logging
+import re
 import time
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracle
@@ -242,6 +244,128 @@ def test_config_graphicality_check_matches_oracle(degs):
         assert message is None or message in CONFIG_ERRORS and "is graphical" in message
     else:
         assert message == f"degree sequence is not graphical: Erdős–Gallai fails at k={k}"
+
+
+def _config_outcome(degs, seed):
+    try:
+        return gen_config(degs, seed).codes().tolist()
+    except ValueError as exc:
+        return str(exc)
+
+
+# graphical sequences of er graphs, sparse through complete (complement path),
+# and short arbitrary sequences: tiny m, where the partner often is the bad
+# edge itself, non-graphical ones and repairs that give up
+_REPAIR_INPUTS = st.one_of(
+    st.builds(lambda n, p, s: gen_er(n, p, s).degrees.tolist(),
+              st.integers(1, 40), st.floats(0.0, 1.0), st.integers(0, 2**32)),
+    st.lists(st.integers(0, 9), min_size=1, max_size=10).filter(
+        lambda d: sum(d) % 2 == 0 and max(d) < len(d)),
+)
+
+
+@given(_REPAIR_INPUTS, st.integers(0, 2**32))
+@example([1, 1, 1, 1, 1, 1, 2, 2, 8], 3)  # gives up
+@example([1, 1, 1, 1, 0], 0)  # m = 2
+@example([1, 0, 1], 0)  # m = 1
+@settings(max_examples=300, deadline=None)
+def test_config_repair_matches_numpy_draw_loop(degs, seed):
+    """Replayed draws give the codes, or the error, of drawing each number
+    through numpy."""
+    new = _config_outcome(degs, seed)
+    with mock.patch.object(generators, "_pair_and_repair", oracle.pair_and_repair_naive):
+        assert new == _config_outcome(degs, seed)
+
+
+def test_config_repair_matches_numpy_draw_loop_on_both_paths():
+    for n, density, seed in ((300, 0.05, 1), (120, 0.45, 2), (120, 0.75, 3), (80, 0.97, 4)):
+        degs = gen_rhgg(n, density, seed, lognormal_sigma=0.5).degrees.tolist()
+        assert (sum(degs) > pair_count(n)) == (density > 0.5)
+        new = _config_outcome(degs, seed)
+        with mock.patch.object(generators, "_pair_and_repair", oracle.pair_and_repair_naive):
+            assert new == _config_outcome(degs, seed)
+
+
+_REPLAY_M = (1, 2, 3, 80865, 2**31 + 1, 2**32 - 1)  # 2**31 + 1 rejects about half its draws
+
+
+def _warmed(seed: int, warmup: int) -> np.random.Generator:
+    rng = np.random.default_rng(seed)
+    for _ in range(warmup):
+        rng.integers(5)  # an odd number of these leaves PCG64's spare half set
+    assert rng.bit_generator.state["has_uint32"] == warmup % 2
+    return rng
+
+
+def _assert_replays(m, seed, warmup, script):
+    replay = generators._Pcg64Replay(_warmed(seed, warmup), m)
+    ref = _warmed(seed, warmup)
+    for draw_index in script:
+        if draw_index:
+            assert replay.index() == int(ref.integers(m))
+        else:
+            assert replay.coin() == (ref.random() < 0.5)
+
+
+@given(st.sampled_from(_REPLAY_M), st.integers(0, 2**64 - 1), st.integers(0, 3),
+       st.lists(st.booleans(), max_size=200))
+@settings(max_examples=200, deadline=None)
+def test_replay_matches_numpy_integers_and_coin(m, seed, warmup, script):
+    _assert_replays(m, seed, warmup, script)
+
+
+def test_replay_at_lemire_rejection_boundaries():
+    # a spare half of 2**32 - 1 puts the low product exactly on the threshold
+    # for m = 2**31 + 1 and m = 2**32 - 1, where numpy accepts it
+    for m in _REPLAY_M:
+        for spare in (0, 1, 2**31 - 1, 2**31, 2**32 - 1):
+            replay, ref = (np.random.default_rng(m) for _ in range(2))
+            for rng in (replay, ref):
+                rng.bit_generator.state = {**rng.bit_generator.state,
+                                           "has_uint32": 1, "uinteger": spare}
+            replay = generators._Pcg64Replay(replay, m)
+            assert [replay.index() for _ in range(3)] == [int(ref.integers(m)) for _ in range(3)]
+
+
+def test_replay_crosses_word_blocks():
+    rng = np.random.default_rng(4)
+    script = (rng.random(3 * generators._RAW_BLOCK) < 0.7).tolist()
+    for warmup in (0, 1):
+        _assert_replays(2**31 + 1, 11, warmup, script)
+
+
+def test_replay_guards():
+    with pytest.raises(ValueError, match="2\\*\\*32"):
+        generators._Pcg64Replay(np.random.default_rng(0), 2**32)
+    with pytest.raises(ValueError, match="m=0"):
+        generators._Pcg64Replay(np.random.default_rng(0), 0)
+    for bit_generator in (np.random.MT19937(0), np.random.PCG64DXSM(0)):
+        with pytest.raises(ValueError, match="PCG64 only"):
+            generators._Pcg64Replay(np.random.Generator(bit_generator), 5)
+
+
+def _repair_records(caplog, degs, seed):
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="hiercomp.generators"):
+        try:
+            gen_config(degs, seed)
+        except ValueError:
+            pass
+    return [r.getMessage() for r in caplog.records if r.name == "hiercomp.generators"]
+
+
+def test_config_logs_one_repair_record(caplog):
+    degs = gen_rhgg(200, 0.05, seed=17).degrees
+    (message,) = _repair_records(caplog, degs, 2)
+    match = re.fullmatch(r"repair n=(\d+) m=(\d+) bad=(\d+) rounds=(\d+) attempts=(\d+)",
+                         message)
+    n, m, bad, rounds, attempts = map(int, match.groups())
+    assert (n, m) == (200, degs.sum() // 2)
+    assert bad > 0 and attempts >= rounds >= 1
+    assert _repair_records(caplog, [1, 1, 1, 1, 1, 1, 2, 2, 8], 3) == [
+        "repair n=9 m=9 bad=2 rounds=1 attempts=900"]
+    assert _repair_records(caplog, [0, 0, 0], 0) == ["repair n=3 m=0 bad=0 rounds=0 attempts=0"]
+    assert _repair_records(caplog, [3, 1, 1], 0) == []  # rejected before any pairing
 
 
 def test_config_zero_sequence():
