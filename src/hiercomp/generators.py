@@ -408,12 +408,12 @@ class _Pcg64Replay:
         return self.word() < 1 << 63
 
 
-def _bad_edges(codes: np.ndarray, n: int) -> np.ndarray:
+def _bad_edges(codes: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Ascending indices of self-loops (u*n + u = u*(n+1)) and of every copy
-    of a repeated pair."""
+    of a repeated pair; and the codes of every copy after a pair's first."""
     s = np.sort(codes)
-    repeated = s[1:][s[1:] == s[:-1]]
-    return np.flatnonzero((codes % (n + 1) == 0) | np.isin(codes, repeated))
+    further = s[1:][s[1:] == s[:-1]]
+    return np.flatnonzero((codes % (n + 1) == 0) | np.isin(codes, further)), further
 
 
 def _pair_and_repair(deg: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -431,15 +431,15 @@ def _pair_and_repair(deg: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     half = stubs.reshape(-1, 2)
     codes = half.min(axis=1) * n + half.max(axis=1)
     m = codes.size
-    bad = _bad_edges(codes, n)
+    bad, further = _bad_edges(codes, n)
     first_bad, rounds, attempts = bad.size, 0, 0
     try:
         if not bad.size:
             return np.sort(codes)
         edges: list[int] = codes.tolist()
-        s = np.sort(codes)
-        first = np.flatnonzero(np.r_[True, s[1:] != s[:-1]])
-        count = dict(zip(s[first].tolist(), np.diff(np.r_[first, m]).tolist()))
+        count = dict.fromkeys(edges, 1)
+        for code in further.tolist():
+            count[code] += 1
         replay = _Pcg64Replay(rng, m)
         index, coin, held = replay.index, replay.coin, count.get
         max_attempts = 100 * m
@@ -473,7 +473,7 @@ def _pair_and_repair(deg: np.ndarray, rng: np.random.Generator) -> np.ndarray:
                     edges[j] = q2
                     break
             codes = np.array(edges, dtype=np.int64)
-            bad = _bad_edges(codes, n)
+            bad, _ = _bad_edges(codes, n)
         return np.sort(codes)
     finally:
         log.debug("repair n=%d m=%d bad=%d rounds=%d attempts=%d",

@@ -277,15 +277,6 @@ def test_config_repair_matches_numpy_draw_loop(degs, seed):
         assert new == _config_outcome(degs, seed)
 
 
-def test_config_repair_matches_numpy_draw_loop_on_both_paths():
-    for n, density, seed in ((300, 0.05, 1), (120, 0.45, 2), (120, 0.75, 3), (80, 0.97, 4)):
-        degs = gen_rhgg(n, density, seed, lognormal_sigma=0.5).degrees.tolist()
-        assert (sum(degs) > pair_count(n)) == (density > 0.5)
-        new = _config_outcome(degs, seed)
-        with mock.patch.object(generators, "_pair_and_repair", oracle.pair_and_repair_naive):
-            assert new == _config_outcome(degs, seed)
-
-
 _REPLAY_M = (1, 2, 3, 80865, 2**31 + 1, 2**32 - 1)  # 2**31 + 1 rejects about half its draws
 
 
@@ -319,11 +310,11 @@ def test_replay_at_lemire_rejection_boundaries():
     # for m = 2**31 + 1 and m = 2**32 - 1, where numpy accepts it
     for m in _REPLAY_M:
         for spare in (0, 1, 2**31 - 1, 2**31, 2**32 - 1):
-            replay, ref = (np.random.default_rng(m) for _ in range(2))
-            for rng in (replay, ref):
+            mine, ref = (np.random.default_rng(m) for _ in range(2))
+            for rng in (mine, ref):
                 rng.bit_generator.state = {**rng.bit_generator.state,
                                            "has_uint32": 1, "uinteger": spare}
-            replay = generators._Pcg64Replay(replay, m)
+            replay = generators._Pcg64Replay(mine, m)
             assert [replay.index() for _ in range(3)] == [int(ref.integers(m)) for _ in range(3)]
 
 
@@ -365,6 +356,8 @@ def test_config_logs_one_repair_record(caplog):
     assert _repair_records(caplog, [1, 1, 1, 1, 1, 1, 2, 2, 8], 3) == [
         "repair n=9 m=9 bad=2 rounds=1 attempts=900"]
     assert _repair_records(caplog, [0, 0, 0], 0) == ["repair n=3 m=0 bad=0 rounds=0 attempts=0"]
+    # a triangle is paired as its empty complement
+    assert _repair_records(caplog, [2, 2, 2], 0) == ["repair n=3 m=0 bad=0 rounds=0 attempts=0"]
     assert _repair_records(caplog, [3, 1, 1], 0) == []  # rejected before any pairing
 
 
