@@ -44,6 +44,17 @@ MANIFESTS = {
 FIG5_N1000 = RunManifest(experiment="fig5", seed=0, n=1000, base_count=1)
 # criterion 8's fig5 manifest as the acceptance suite runs it
 FIG5_CRITERION8 = RunManifest(experiment="fig5", seed=0)
+# coarse fractions: steps of up to 30% of m0 on a denser base, so new edges
+# share endpoints, and a 150% step on a sparse base, which runs out of
+# shared-neighbour candidates and tops up uniformly
+FIG5_COARSE = RunManifest(
+    experiment="fig5", seed=0, n=300, base_count=1, base_density=0.05,
+    fractions=(0.0, 0.05, 0.2, 0.5), mechanisms=("similarity", "combined"),
+)
+FIG5_COARSE_SPARSE = RunManifest(
+    experiment="fig5", seed=0, n=300, base_count=1, base_density=0.005,
+    fractions=(0.0, 0.05, 0.2, 0.5, 2.0), mechanisms=("similarity", "combined"),
+)
 
 GOLDEN_CSV = {
     "fig2.csv": "0fd9ac4715a84a37acb7bdd7e678fb60614871dd719f35f4c2997934cc9212bb",
@@ -218,10 +229,12 @@ GOLDEN_BLOCKS = {
 }
 
 # the similarity and combined rows (header excluded) of fig5 at MANIFESTS'
-# manifest and at criterion 8's
+# manifest, at criterion 8's and at the two FIG5_COARSE manifests
 GOLDEN_FIG5_SHARED = {
     "fig5-tiny-similarity-combined": "4d05edac0533aee2130e06cb25aad7776fc1f26831463e362e8454652458060e",
     "fig5-criterion8-similarity-combined": "b3beffe0e3f0647f395a74d649eeeb8b3ca1ee37fd40daab10b589111e302392",
+    "fig5-coarse-similarity-combined": "a463d8ad98a7e84dbfccb47aa6b858055e40f7552fd673acb0b7d8af71ebe49a",
+    "fig5-coarse-sparse-similarity-combined": "b01dc1f338884c17d4b1ab6c21ee2964a52203c760f0af32467b1d9c75067363",
 }
 
 # gen_config's stub pairing and swap repair: the benchmark's model_sweep rhg
@@ -427,7 +440,8 @@ def csr_hashes(sixnode, tmp_path) -> dict[str, str]:
 
 def fig5_shared_hashes(tmp_path) -> dict[str, str]:
     out = {}
-    for name, manifest in (("tiny", MANIFESTS["fig5"]), ("criterion8", FIG5_CRITERION8)):
+    for name, manifest in (("tiny", MANIFESTS["fig5"]), ("criterion8", FIG5_CRITERION8),
+                           ("coarse", FIG5_COARSE), ("coarse-sparse", FIG5_COARSE_SPARSE)):
         (path,) = [p for p in run_experiment(manifest, tmp_path / f"fig5-{name}") if p.suffix == ".csv"]
         rows = [row for row in path.read_text().splitlines()
                 if row.split(",")[1] in ("similarity", "combined")]
