@@ -9,10 +9,14 @@ Four rules weigh the currently absent pairs:
 
 A batch step picks its edges by successive sampling (one at a time, each with
 probability weight over the weight still open) on the weights frozen at the
-start of the step; sweeps recompute weights between steps.  A batch that
-needs every positive-weight non-edge takes them all and draws the rest
-uniformly; a map with no positive weight falls back to uniform attachment
-with a logged notice.  Each weighting has one draw, used at every n:
+start of the step.  A batch that needs every positive-weight non-edge takes
+them all and draws the rest uniformly; a map with no positive weight falls
+back to uniform attachment with a logged notice.  Sweeps carry the
+shared-neighbour pairs and counts from step to step and update them from
+each step's new edges D, by (A + D)^2 = A^2 + DA + AD + D^2; only the first
+step builds them from ``A @ A``.  The counts are exact integers, so each step
+sees the weights a rebuild would give.  Each weighting has one draw, used at
+every n:
 
 * uniform (random, top-ups, fallbacks): distinct ranks among the open pairs,
   mapped to pair codes in O(m + count) without listing them;
@@ -81,28 +85,94 @@ def _degree_sums(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     return codes, (deg[codes // n] + deg[codes % n]).astype(np.float64)
 
 
-def _shared_neighbour_weights(g: Graph, mechanism: str) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending codes of the non-adjacent pairs with >= 1 shared neighbour,
-    weighted by the shared count (combined) or the Jaccard overlap (similarity)."""
-    from scipy import sparse
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Concatenation of ``arange(s, s + l)`` over ``zip(starts, lengths)``."""
+    offsets = np.cumsum(lengths) - lengths
+    return np.repeat(starts - offsets, lengths) + np.arange(int(lengths.sum()))
 
-    a = sparse.csr_matrix(
-        (np.ones(g.indices.size, dtype=np.float64), g.indices, g.indptr),
-        shape=(g.n, g.n),
-    )
-    c = (a @ a).tocsr()
-    c.setdiag(0)
-    c.eliminate_zeros()
-    c = sparse.triu(c, k=1).tocsr()
-    c = (c - c.multiply(a)).tocoo()
-    keep = c.data > 0
-    codes = c.row[keep].astype(np.int64) * g.n + c.col[keep]
-    order = np.argsort(codes)
-    codes, counts = codes[order], c.data[keep][order]
-    if mechanism == "similarity":
-        lo, hi = np.divmod(codes, g.n)
-        return codes, counts / (g.degrees[lo] + g.degrees[hi] - counts)
-    return codes, counts.astype(np.float64)
+
+def _find(a: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Insertion points of ``x`` in the ascending array ``a``, and a mask of
+    the values of ``x`` found there."""
+    pos = np.searchsorted(a, x)
+    if a.size == 0:
+        return pos, np.zeros(x.size, dtype=bool)
+    return pos, a[pos.clip(max=a.size - 1)] == x
+
+
+def _row_codes(g: Graph, rows: np.ndarray) -> np.ndarray:
+    """Ascending codes u * n + v over the edges {u, v} of g with u in the
+    ascending array ``rows`` (v may be below u)."""
+    deg = g.degrees[rows]
+    return np.repeat(rows, deg) * g.n + g.indices[_ranges(g.indptr[rows], deg)]
+
+
+class _SharedPairs:
+    """The non-adjacent pairs of a graph with >= 1 shared neighbour: their
+    ascending ``codes`` and shared ``counts`` (exact integers in float64).
+    A sweep builds one from ``A @ A`` and grows it with its graph."""
+
+    def __init__(self, g: Graph) -> None:
+        from scipy import sparse
+
+        a = sparse.csr_matrix(
+            (np.ones(g.indices.size, dtype=np.float64), g.indices, g.indptr),
+            shape=(g.n, g.n),
+        )
+        c = (a @ a).tocsr()
+        c.setdiag(0)
+        c.eliminate_zeros()
+        c = sparse.triu(c, k=1).tocsr()
+        c = (c - c.multiply(a)).tocoo()
+        keep = c.data > 0
+        codes = c.row[keep].astype(np.int64) * g.n + c.col[keep]
+        order = np.argsort(codes)
+        self.codes, self.counts = codes[order], c.data[keep][order]
+
+    def weights(self, g: Graph, mechanism: str) -> np.ndarray:
+        """The Jaccard overlap (similarity) or the shared count (combined)
+        of each pair, in g."""
+        codes, counts = self.codes, self.counts
+        if mechanism == "combined":
+            return counts
+        # codes ascend, so each pair's lower end u comes in runs: deg[u] and
+        # u * n by np.repeat, with no division and no index array kept
+        runs = np.diff(np.searchsorted(codes, np.arange(g.n + 1) * g.n))
+        deg_sum = np.repeat(g.degrees, runs)
+        deg_sum += g.degrees[codes - np.repeat(np.arange(g.n) * g.n, runs)]
+        return counts / (deg_sum - counts)
+
+    def grow(self, g: Graph, h: Graph) -> None:
+        """Update the pairs of g to those of h, g plus some new edges D:
+        (A + D)^2 = A^2 + DA + AD + D^2, so a pair gains one count per
+        two-hop path through a new edge.  Each array is replaced as soon as
+        its update is ready, so the old one can go."""
+        n = g.n
+        rows = np.flatnonzero(h.degrees != g.degrees)  # the ends of the new edges
+        ends = _row_codes(h, rows)
+        ends = ends[~_find(_row_codes(g, rows), ends)[1]]
+        centre, outer = np.divmod(ends, n)  # each new edge from both ends, ascending
+        # paths outer - centre - x through a new edge and an old one
+        a = np.repeat(outer, g.degrees[centre])
+        b = g.indices[_ranges(g.indptr[centre], g.degrees[centre])]
+        # paths outer - centre - later through two new edges
+        later = np.searchsorted(centre, centre, side="right") - np.arange(centre.size) - 1
+        a = np.concatenate((a, np.repeat(outer, later)))
+        b = np.concatenate((b, outer[_ranges(np.arange(centre.size) + 1, later)]))
+        paths = np.sort(np.minimum(a, b) * n + np.maximum(a, b))
+        starts = np.flatnonzero(np.diff(paths, prepend=-1))
+        gained, gain = paths[starts], np.diff(np.r_[starts, paths.size]).astype(np.float64)
+        # drop the pairs that became edges, then merge in the gains
+        pos, found = _find(self.codes, ends[centre < outer])
+        self.codes = np.delete(self.codes, pos[found])
+        self.counts = np.delete(self.counts, pos[found])
+        pos, hit = _find(self.codes, gained)
+        self.counts[pos[hit]] += gain[hit]
+        # a gained pair not carried is an edge of h or has its first shared neighbour
+        fresh = ~hit
+        fresh[fresh] = ~_find(h.codes(), gained[fresh])[1]
+        self.codes = np.insert(self.codes, pos[fresh], gained[fresh])
+        self.counts = np.insert(self.counts, pos[fresh], gain[fresh])
 
 
 def _falls_back(g: Graph, mechanism: str, positive: int) -> bool:
@@ -122,9 +192,9 @@ def edge_weights(g: Graph, mechanism: str) -> NonEdgeWeights:
     if mechanism not in MECHANISMS:
         raise ValueError(f"unknown mechanism {mechanism!r}")
     if mechanism in ("similarity", "combined"):
-        codes, weights = _shared_neighbour_weights(g, mechanism)
-        if not _falls_back(g, mechanism, codes.size):
-            return NonEdgeWeights(codes, weights)
+        pairs = _SharedPairs(g)
+        if not _falls_back(g, mechanism, pairs.codes.size):
+            return NonEdgeWeights(pairs.codes, pairs.weights(g, mechanism))
     weighted = _weighted_pair_count(g)
     by_degree = mechanism == "hierarchical" and not _falls_back(g, mechanism, weighted)
     if (weighted if by_degree else non_edge_count(g)) > _ENUM_LIMIT * (_ENUM_LIMIT - 1) // 2:
@@ -170,27 +240,36 @@ def _by_degree(g: Graph, count: int, rng: np.random.Generator) -> np.ndarray:
         jj = rng.integers(0, n - 1, size=batch)
         jj += jj >= ii
         new = np.minimum(ii, jj) * n + np.maximum(ii, jj)
-        new = new[edges[np.searchsorted(edges, new).clip(max=edges.size - 1)] != new]
+        new = new[~_find(edges, new)[1]]
         new = new[np.sort(np.unique(new, return_index=True)[1])]
         new = new[~np.isin(new, out, kind="sort")]
         out = np.concatenate((out, new[: count - out.size]))
     return out
 
 
-def _by_keys(g: Graph, mechanism: str, count: int, rng: np.random.Generator) -> np.ndarray:
+def _by_keys(g: Graph, mechanism: str, count: int, rng: np.random.Generator,
+             pairs: _SharedPairs) -> np.ndarray:
     """Codes of ``count`` distinct non-edges by successive sampling on the
-    shared-neighbour weights: the smallest keys Exp(1)/w win."""
-    codes, weights = _shared_neighbour_weights(g, mechanism)
+    shared-neighbour weights of g's ``pairs``: the smallest keys Exp(1)/w
+    win."""
+    codes = pairs.codes
     if _falls_back(g, mechanism, codes.size):
         return _uniform(g, codes, count, rng)
-    keys = rng.exponential(size=codes.size) / weights
+    keys = rng.exponential(size=codes.size)
+    keys /= pairs.weights(g, mechanism)
     if count <= codes.size:
         return codes[np.argpartition(keys, count - 1)[:count]]
     return _take_all(g, codes, count, rng)
 
 
-def add_edges(g: Graph, mechanism: str, count: int, seed: int) -> Graph:
-    """New graph with ``count`` extra edges drawn by the given mechanism."""
+def add_edges(g: Graph, mechanism: str, count: int, seed: int, *,
+              pairs: _SharedPairs | None = None) -> Graph:
+    """New graph with ``count`` extra edges drawn by the given mechanism.
+
+    ``pairs`` holds g's shared-neighbour pairs and counts, as a sweep
+    carries them; similarity and combined build them from g when it is
+    omitted, and the other mechanisms ignore it.
+    """
     if mechanism not in MECHANISMS:
         raise ValueError(f"unknown mechanism {mechanism!r}")
     if count < 0:
@@ -206,7 +285,7 @@ def add_edges(g: Graph, mechanism: str, count: int, seed: int) -> Graph:
     elif mechanism == "hierarchical":
         new = _by_degree(g, count, rng)
     else:
-        new = _by_keys(g, mechanism, count, rng)
+        new = _by_keys(g, mechanism, count, rng, _SharedPairs(g) if pairs is None else pairs)
     codes = sorted_unique(np.concatenate((g.codes(), new)))
     if codes.size != g.m + count:
         raise AssertionError("attachment produced an overlapping edge")
@@ -238,8 +317,11 @@ def density_sweep(
 ) -> SweepTrace:
     """Grow g towards round(m0 * (1 + f)) edges for each fraction f.
 
-    Weights are recomputed once per step; the measure is recorded after
-    each step, including the f=0 baseline.
+    Each step draws on the weights of the graph it starts from; the measure
+    is recorded after each step, including the f=0 baseline.  Similarity
+    and combined carry the shared-neighbour pairs and counts from step to
+    step, updated from each step's new edges, and build them from ``A @ A``
+    only before the first step.
     """
     fr = [float(f) for f in fractions]
     if not fr:
@@ -249,12 +331,18 @@ def density_sweep(
     m0 = g.m
     master = np.random.default_rng(seed)
     step_seeds = master.integers(0, 2**63, size=len(fr))
-    cur = g
+    shared = mechanism in ("similarity", "combined")
+    cur, pairs = g, None
     steps: list[SweepStep] = []
     for i, f in enumerate(fr):
         target = int(round(m0 * (1.0 + f)))
         need = target - cur.m
         if need > 0:
-            cur = add_edges(cur, mechanism, need, int(step_seeds[i]))
+            if shared and pairs is None:
+                pairs = _SharedPairs(cur)
+            nxt = add_edges(cur, mechanism, need, int(step_seeds[i]), pairs=pairs)
+            if shared:
+                pairs.grow(cur, nxt)
+            cur = nxt
         steps.append(SweepStep(f, cur.m, nhc_global(cur)))
     return SweepTrace(mechanism=mechanism, base_id=base_id, steps=tuple(steps))

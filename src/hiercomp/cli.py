@@ -7,12 +7,17 @@ Subcommands:
 * ``theory``   -- per-degree closed-form estimates for er(n, p) (CSV).
 * ``sweep``    -- run a named batch experiment from a manifest file.
 * ``rank``     -- analyse a directory of edge lists into a ranking CSV.
+
+``--log-level`` (before the subcommand; default WARNING) sets which records
+of the ``hiercomp`` loggers reach stderr, such as attachment's uniform
+fallbacks and top-ups (WARNING) or the rhg repair's statistics (DEBUG).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import logging
 import sys
 from pathlib import Path
 
@@ -25,6 +30,9 @@ from .workbench import read_edgelist, write_edgelist
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="hiercomp")
+    parser.add_argument("--log-level", default="WARNING", type=str.upper,
+                        choices=("DEBUG", "INFO", "WARNING", "ERROR"),
+                        help="least severe package log record shown on stderr (default WARNING)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", help="complexity report for an edge-list file")
@@ -154,11 +162,20 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    log = logging.getLogger("hiercomp")
+    handler = logging.StreamHandler()  # the sys.stderr of this call
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    level = log.level
+    log.addHandler(handler)
+    log.setLevel(args.log_level)
     try:
         return _COMMANDS[args.command](args)
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(level)
 
 
 if __name__ == "__main__":

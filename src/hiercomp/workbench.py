@@ -18,7 +18,6 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.stats import t as student_t
 
 from .complexity import complexity_report
 from .graph import Graph, build_graph
@@ -120,6 +119,8 @@ def spearman(x, y, method: str = "t") -> tuple[float, float]:
     if method == "t":
         if abs(rho) >= 1.0:
             return (max(-1.0, min(1.0, rho)), 0.0)
+        from scipy.stats import t as student_t  # slow to import, and only needed here
+
         tval = rho * math.sqrt((n - 2) / (1.0 - rho * rho))
         p = 2.0 * float(student_t.sf(abs(tval), n - 2))
         return rho, p

@@ -16,14 +16,15 @@ from hiercomp.attachment import (
     DEFAULT_FRACTIONS,
     MECHANISMS,
     NonEdgeWeights,
+    _SharedPairs,
     add_edges,
     density_sweep,
     edge_weights,
     non_edge_count,
 )
 from hiercomp.complexity import nhc_global
-from hiercomp.generators import child_seed, gen_er
-from hiercomp.graph import build_graph
+from hiercomp.generators import child_seed, gen_er, gen_rhgg
+from hiercomp.graph import build_graph, complement_codes, from_codes
 from hiercomp.workbench import read_edgelist
 
 P3 = [(0, 1), (1, 2)]
@@ -326,3 +327,127 @@ def test_density_sweep_validation():
         density_sweep(g, "random", (0.0, 0.02, 0.01))
     with pytest.raises(ValueError, match="non-negative"):
         density_sweep(g, "random", (-0.1, 0.0))
+
+
+# --------------------------------------------------------------------------
+# shared-neighbour pairs carried across sweep steps
+
+
+def grow_and_check(g, new_codes, pairs):
+    """Grow ``pairs`` of g to g plus ``new_codes``; assert that the carried
+    codes and counts are the rebuilt ones, and on small graphs that the
+    weights derived from them are the oracle's.  Returns the grown graph."""
+    h = from_codes(g.n, np.sort(np.concatenate((g.codes(), new_codes))))
+    pairs.grow(g, h)
+    rebuilt = _SharedPairs(h)
+    for got, want in ((pairs.codes, rebuilt.codes), (pairs.counts, rebuilt.counts)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    if h.n <= 40:
+        adj = oracle.adjacency(h.n, h.edge_array().tolist())
+        positive = {pair for pair, w in oracle.nonedge_weights(adj, "combined").items() if w > 0}
+        assert {divmod(c, h.n) for c in pairs.codes.tolist()} == positive
+        for mechanism in ("similarity", "combined"):
+            expected = oracle.nonedge_weights(adj, mechanism)
+            for code, w in zip(pairs.codes.tolist(), pairs.weights(h, mechanism).tolist()):
+                assert w == pytest.approx(expected[divmod(code, h.n)], abs=1e-12)
+    return h
+
+
+@given(
+    n=st.integers(2, 70),
+    p=st.floats(0.0, 0.4),
+    batches=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=120, deadline=None)
+def test_carried_shared_pairs_match_rebuild(n, p, batches, seed):
+    """After each random batch of new edges, up to a third of the open pairs
+    and sharing endpoints freely, the carried codes and counts are the ones
+    rebuilt from A @ A."""
+    g = gen_er(n, p, seed)
+    pairs = _SharedPairs(g)
+    rng = np.random.default_rng(seed)
+    for share in batches:
+        free = complement_codes(n, g.codes())
+        g = grow_and_check(g, rng.choice(free, size=round(share * free.size / 3), replace=False),
+                           pairs)
+
+
+def test_carried_pairs_two_new_edges_sharing_an_endpoint():
+    # 0-1 and 3-4 gain 1-2 and 2-3: paths 0-1-2, 1-2-3 (both new), 2-3-4
+    g = build_graph([(0, 1), (3, 4)], n_hint=5)
+    pairs = _SharedPairs(g)
+    grow_and_check(g, np.array([1 * 5 + 2, 2 * 5 + 3]), pairs)
+    assert [divmod(c, 5) for c in pairs.codes.tolist()] == [(0, 2), (1, 3), (2, 4)]
+    assert pairs.counts.tolist() == [1.0, 1.0, 1.0]
+
+
+def test_carried_pairs_drop_new_edges_and_old_edges():
+    # triangle closed by new edges, and a new edge between carried pairs
+    g = build_graph([(0, 1), (1, 2), (2, 3)], n_hint=4)
+    pairs = _SharedPairs(g)
+    grow_and_check(g, np.array([0 * 4 + 2, 1 * 4 + 3]), pairs)
+    assert [divmod(c, 4) for c in pairs.codes.tolist()] == [(0, 3)]
+    assert pairs.counts.tolist() == [2.0]
+
+
+def test_carried_pairs_after_a_top_up():
+    # path30 padded to 1000 nodes: 28 candidates for 100 edges, so 72 uniform
+    # top-up edges land outside the carried set
+    g = build_graph([(i, i + 1) for i in range(29)], n_hint=1000)
+    pairs = _SharedPairs(g)
+    assert pairs.codes.size == 28
+    h = add_edges(g, "similarity", 100, 7, pairs=pairs)
+    assert np.array_equal(h.codes(), add_edges(g, "similarity", 100, 7).codes())
+    grow_and_check(g, h.codes()[~np.isin(h.codes(), g.codes())], pairs)
+
+
+def test_carried_pairs_after_the_uniform_fallback(caplog):
+    # a perfect matching: no pair shares a neighbour, so the step is uniform
+    g = build_graph([(2 * i, 2 * i + 1) for i in range(15)], n_hint=30)
+    pairs = _SharedPairs(g)
+    assert pairs.codes.size == 0
+    with caplog.at_level(logging.WARNING, logger="hiercomp.attachment"):
+        h = add_edges(g, "combined", 12, 3, pairs=pairs)
+    assert "falling back to uniform attachment" in caplog.text
+    grow_and_check(g, h.codes()[~np.isin(h.codes(), g.codes())], pairs)
+
+
+def test_carried_pairs_step_of_zero_edges():
+    g = gen_er(30, 0.1, 5)
+    pairs = _SharedPairs(g)
+    codes, counts = pairs.codes, pairs.counts
+    grow_and_check(g, np.empty(0, np.int64), pairs)
+    assert np.array_equal(pairs.codes, codes) and np.array_equal(pairs.counts, counts)
+
+
+def per_step_sweep(g, mechanism, fractions, seed):
+    """density_sweep's steps and seeds, every step through plain add_edges."""
+    step_seeds = np.random.default_rng(seed).integers(0, 2**63, size=len(fractions))
+    cur, out = g, []
+    for f, step_seed in zip(fractions, step_seeds):
+        need = int(round(g.m * (1.0 + f))) - cur.m
+        if need > 0:
+            cur = add_edges(cur, mechanism, need, int(step_seed))
+        out.append((f, cur.m, nhc_global(cur)))
+    return out
+
+
+@pytest.mark.parametrize("mechanism", ["similarity", "combined"])
+@pytest.mark.parametrize("case", ["rhgg", "path30pad1000", "matching", "repeated"])
+def test_density_sweep_matches_per_step_add_edges(mechanism, case):
+    """The sweep that carries the pairs gives the trace of per-step
+    add_edges: big steps, top-ups, the uniform fallback, 0-edge steps."""
+    fractions = (0.0, 0.05, 0.2, 0.5, 2.0)
+    if case == "rhgg":
+        g = gen_rhgg(300, 0.01, 3)
+    elif case == "path30pad1000":
+        g = build_graph([(i, i + 1) for i in range(29)], n_hint=1000)
+        fractions = (0.0, 1.0, 3.0)
+    elif case == "matching":
+        g = build_graph([(2 * i, 2 * i + 1) for i in range(20)], n_hint=40)
+    else:
+        g = gen_er(80, 0.05, 9)
+        fractions = (0.0, 0.0, 0.1, 0.1, 0.101, 0.3)
+    trace = density_sweep(g, mechanism, fractions, seed=21)
+    assert [tuple(s) for s in trace.steps] == per_step_sweep(g, mechanism, fractions, 21)

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import json
+import logging
 
 import pytest
 
 from hiercomp.cli import main
 from hiercomp.experiments import RunManifest
 from hiercomp.generators import child_seed, gen_er
+from hiercomp.graph import build_graph
 from hiercomp.workbench import read_edgelist, write_edgelist
 
 
@@ -137,6 +139,32 @@ def test_sweep_runs_manifest(tmp_path, capsys):
     assert (outdir / "fig3.csv").exists()
     side = json.loads((outdir / "fig3_run.json").read_text())
     assert side["manifest_sha256"] == manifest.sha256()
+
+
+def test_log_level_routes_package_records_to_stderr(tmp_path, capsys):
+    # a perfect matching shares no neighbours: similarity falls back to uniform
+    base = tmp_path / "matching.txt"
+    write_edgelist(build_graph([(2 * i, 2 * i + 1) for i in range(10)]), base)
+    manifest = RunManifest(experiment="fig5", inputs=(str(base),), fractions=(0.0, 0.5),
+                           mechanisms=("similarity",))
+    mpath = tmp_path / "m.json"
+    mpath.write_text(manifest.canonical_json())
+    sweep = ["sweep", "fig5", "--manifest", str(mpath), "--output-dir", str(tmp_path / "out")]
+    notice = ("WARNING hiercomp.attachment: all similarity weights zero; "
+              "falling back to uniform attachment")
+    assert main(sweep) == 0
+    assert notice in capsys.readouterr().err
+    assert main(["--log-level", "error", *sweep]) == 0
+    assert "hiercomp.attachment" not in capsys.readouterr().err
+    degs = tmp_path / "degrees.txt"
+    degs.write_text("3 3 2 2 1 1\n")
+    rhg = ["generate", "--family", "rhg", "--n", "6", "--degrees", str(degs),
+           "--output", str(tmp_path / "rhg.txt")]
+    assert main(["--log-level", "DEBUG", *rhg]) == 0
+    assert "DEBUG hiercomp.generators: repair n=6" in capsys.readouterr().err
+    assert main(rhg) == 0
+    assert "DEBUG" not in capsys.readouterr().err
+    assert logging.getLogger("hiercomp").handlers == []
 
 
 def test_sweep_experiment_mismatch(tmp_path, capsys):

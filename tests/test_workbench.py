@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -188,6 +191,16 @@ def test_spearman_matches_scipy():
         ref = scipy_stats.spearmanr(x, y)
         assert rho == pytest.approx(float(ref.statistic), abs=1e-12)
         assert p == pytest.approx(float(ref.pvalue), rel=1e-9, abs=1e-12)
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    """scipy.stats takes most of the package's import time and only
+    spearman's t-transform p uses it, so it is imported there."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (f"import sys; sys.path.insert(0, {str(src)!r}); import hiercomp, hiercomp.cli; "
+            "print('scipy.stats' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_spearman_exact_small_sample():
