@@ -141,14 +141,19 @@ GOLDEN_LARGE = {
     "k2pad9001-hierarchical": "be7c9874ba93c70988f837a95e48b3a7a85a1a3b2e452118ed441fcbf2b48a6f",
 }
 
-# read_edgelist (CSR, n and labels), write_edgelist bytes, build_graph on
+# read_edgelist (CSR, n and labels) over every ASCII line end and separator
+# and over labels that share bytes or are not ASCII, write_edgelist bytes
+# (one write spans many row blocks and every digit width), build_graph on
 # 100k shuffled, duplicated, reversed and self-loop pairs
 GOLDEN_IO = {
     "mm-banner-values": "fb863d3290d87b8449d5ae37e34e3943e63e0823924e3e739beb8f007dbfe36f",
     "labels-comments-hint": "70694274518da951cdacb9ed8cc97acbcc3df2dd80935b5838f5095bf005052f",
     "mm-hint-no-banner": "e0de29b4f1c24dc663526fc644ce2a1d88a835bb6ea702e1cebdea60e76c651f",
+    "line-ends-separators": "f3c2c415fcdfe2f52b99c8dfe382e26acb76d29859566cb41a3791b132cc6948",
+    "labels-prefix-length-utf8": "5fdb14bf47fa36ed6373eb60bee95c028cc3abff1fb454a1577c7237e9405e92",
     "write-trailing-isolated": "d6e665863a82fc6c40fd53bb2798bac793e5fcfd5cd34766d6ebfd0d2390eed5",
     "write-empty": "80fee807df30e94469ed313133ee32f8404749847c0f464c75e3804babf6add1",
+    "write-row-blocks-digit-widths": "1819fbccab99522b2b27e2365f94f856c8db153dc839ed19e87e937ee1b34290",
     "build-100k-shuffled": "5d5e885f09a4a7804ef5157ece48732b6102caba8fcb993a9a0416873bebab38",
 }
 
@@ -402,13 +407,40 @@ def _io_files():
             for k, (u, v) in enumerate(zip(rng.integers(1, 60, 200).tolist(),
                                            rng.integers(1, 60, 200).tolist()))]
     yield "mm-hint-no-banner", "matrixmarket", "% no banner\n59 59 200\n" + "\n".join(body) + "\n"
+    # every ASCII line end, \x1f and tabs inside lines, no trailing newline
+    ends = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\n\r", "\r\r\n"]
+    seps = [" ", "\t", "\x1f", " \x1f\t"]
+    text = "# nodes: 70\r\n%%not a banner\r"
+    for k, (u, v) in enumerate(zip(rng.integers(0, 60, 300).tolist(), rng.integers(0, 60, 300).tolist())):
+        text += seps[k % 4][::-1] * (k % 3 == 0) + f"{u}{seps[k % 4]}{v}" + ends[k % 10]
+        if k % 41 == 0:
+            text += "# nodes: 65" + ends[(k + 3) % 10] + "\x1f\t" + ends[k % 10]
+    yield "line-ends-separators", None, text + "58\x1f59"
+    labels = ["1234567", "12345678", "123456789", "7", "007", "abcdefgh", "abcdefgh1",
+              "abcdefgh2", "abcdefghijklmnop", "abcdefghijklmnopq", "ab", "ab\x00", "naïve",
+              "東京", "ü", "\U0001f600", "ÿÿÿÿÿÿÿÿ", "#b", "%c", "a#"]
+    lines = ["% labels that share bytes, differ in length, or are not ASCII"]
+    heads = [lab for lab in labels if lab[0] not in "#%"]  # a second token may start with '#'
+    for a, b in zip(rng.integers(0, len(heads), 500).tolist(), rng.integers(0, len(labels), 500).tolist()):
+        lines.append(f"{heads[a]} {labels[b]}")
+    yield "labels-prefix-length-utf8", None, "\n".join(lines) + "\n"
+
+
+def _digit_width_graph(rng):
+    """200k edges on 12000 nodes: ids on both sides of every digit boundary,
+    isolated rows inside and at the end, and rows of up to 11998 neighbours."""
+    keep = np.setdiff1d(np.arange(11990), np.arange(5000, 5100))
+    pairs = keep[rng.integers(0, keep.size, size=(170_000, 2))]
+    edges = [(b - 1, b) for b in (10, 100, 1000, 10000)] + [(0, 9999), (9, 11989)]
+    hub = np.column_stack((np.full(keep.size, 9999), keep))
+    return build_graph(np.concatenate((pairs, edges, hub)), n_hint=12000)
 
 
 def io_hashes(tmp_path) -> dict[str, str]:
     out = {}
     for name, hint, text in _io_files():
         path = tmp_path / f"{name}.txt"
-        path.write_text(text)
+        path.write_bytes(text.encode())
         g = read_edgelist(path, format_hint=hint)
         out[name] = _sha(f"{_csr_sha(g)} {g.n} {g.labels!r}".encode())
     rng = np.random.default_rng(62)
@@ -417,6 +449,7 @@ def io_hashes(tmp_path) -> dict[str, str]:
     for name, g in (
         ("write-trailing-isolated", build_graph(pairs[:300] % 50, n_hint=80)),
         ("write-empty", build_graph([], n_hint=4)),
+        ("write-row-blocks-digit-widths", _digit_width_graph(rng)),
     ):
         path = tmp_path / f"{name}.txt"
         write_edgelist(g, path)
