@@ -5,8 +5,14 @@ separated pair per line, '#'/'%' comment lines, an optional MatrixMarket
 banner (in which case the size line is skipped and a value column is
 tolerated).  Arbitrary node labels are remapped to dense ids in first-
 appearance order and kept on the graph.  A comment like ``# nodes: 123``
-fixes the node count, retaining isolated nodes.  Reading and writing are
-bulk string and numpy operations, not a Python loop per edge.
+fixes the node count, retaining isolated nodes.
+
+Files are UTF-8.  Tokens are split on ASCII whitespace only (space, ``\t``,
+``\n``, ``\v``, ``\f``, ``\r`` and ``\x1c``-``\x1f``), and lines end at
+``\n``, ``\r\n``, ``\r``, ``\v``, ``\f`` and ``\x1c``-``\x1e``; a label
+may hold any other character, Unicode-only spaces such as U+00A0 included.
+Reading and writing are numpy work on the file's bytes, not a Python loop
+per line or per edge.
 """
 
 from __future__ import annotations
@@ -33,6 +39,18 @@ __all__ = [
 
 _NODES_HINT = re.compile(r"nodes\s*:?\s*(\d+)", re.IGNORECASE)
 
+# Bytes that str.split() takes for whitespace, and the subset that
+# str.splitlines() breaks lines on ("\r\n" is one break, at its "\r").
+_SPACE = np.zeros(256, dtype=bool)
+_SPACE[[9, 10, 11, 12, 13, 28, 29, 30, 31, 32]] = True
+_BREAK = np.zeros(256, dtype=bool)
+_BREAK[[10, 11, 12, 13, 28, 29, 30]] = True
+_LOW_BYTES = np.array([(1 << 8 * r) - 1 for r in range(8)], dtype=np.uint64)  # keep r bytes
+_TOP_BYTE = np.array([r << 56 for r in range(8)], dtype=np.uint64)  # r in the top byte
+_POW10 = 10 ** np.arange(1, 19, dtype=np.int64)
+_KEY_BLOCK = 1 << 16  # tokens keyed at once
+_WRITE_BLOCK = 1 << 16  # CSR entries per block of rows written at once
+
 
 def read_edgelist(path, format_hint: str | None = None) -> Graph:
     """Parse an edge-list file into a :class:`Graph`."""
@@ -43,43 +61,189 @@ def read_edgelist(path, format_hint: str | None = None) -> Graph:
 def _read_id_pairs(path, format_hint: str | None) -> tuple[np.ndarray, tuple[str, ...], int]:
     """(k, 2) id pairs, labels in first-appearance order, and the node count.
 
-    The body is tokenised once, in bulk; each body line's token count only
-    locates the first malformed line and the MatrixMarket size line.  The
-    lines and tokens are freed on return, before the graph is built.
+    The tokens are runs of non-space bytes, and each token's line is the
+    number of line breaks before it.  Only comment lines, the labels and a
+    malformed line are decoded.
     """
-    lines = Path(path).read_text().splitlines()
-    mm = format_hint == "matrixmarket" or (
-        bool(lines) and lines[0].lstrip().startswith("%%MatrixMarket"))
-    stripped = [line.strip() for line in lines]
+    data = Path(path).read_bytes()
+    buf = np.frombuffer(data, dtype=np.uint8)
+    if buf.size and buf.max() >= 0x80:
+        data.decode()  # raise on a file that is not UTF-8
+    starts, lens = _tokens(buf)
+    breaks = _line_breaks(buf).astype(starts.dtype)
+    line = np.searchsorted(breaks, starts).astype(starts.dtype)  # 0-based line of each token
+    new = np.ones(line.size, dtype=bool)
+    np.not_equal(line[1:], line[:-1], out=new[1:])
+    first = np.flatnonzero(new).astype(line.dtype)  # first token of each non-blank line
+    width = np.diff(first, append=first.dtype.type(line.size))
+    lead = buf[starts[first]]
+    comment = (lead == ord("#")) | (lead == ord("%"))
     hint: int | None = None
-    for line in [s for s in stripped if s and s[0] in "#%"]:
-        found = _NODES_HINT.search(line)
+    for i in line[first[comment]][::-1].tolist():  # the last hint wins
+        found = _NODES_HINT.search(_line_text(data, breaks, i))
         if found:
             hint = int(found.group(1))
-    body = [s for s in stripped if s and s[0] not in "#%"]
-    width = np.array([len(s.split()) for s in body], dtype=np.int64)
+            break
+    body, width = first[~comment], width[~comment]
+    mm = format_hint == "matrixmarket" or (
+        line.size > 0 and line[0] == 0 and data.startswith(b"%%MatrixMarket", int(starts[0])))
     skip = int(mm and width.size > 0 and width[0] == 3)  # rows cols nnz
     body, width = body[skip:], width[skip:]
     bad = np.flatnonzero((width != 2) & ~(mm & (width == 3)))
     if bad.size:
-        lineno = [i for i, s in enumerate(stripped, 1) if s and s[0] not in "#%"][skip + bad[0]]
-        raise ValueError(f"{path}: malformed line {lineno}: {lines[lineno - 1]!r}")
-    if mm and (width == 3).any():  # value column: keep the first two tokens
-        tokens = [t for s in body for t in s.split()[:2]]
-    else:
-        tokens = " ".join(body).split()
-    if not tokens and hint is None:
+        i = int(line[body[bad[0]]])
+        raise ValueError(f"{path}: malformed line {i + 1}: {_line_text(data, breaks, i)!r}")
+    del line, breaks, first, width
+    kept = np.column_stack((body, body + 1)).ravel()  # the first two tokens of each line
+    del body
+    starts, lens = starts[kept], lens[kept]
+    if not kept.size and hint is None:
         raise ValueError(f"{path}: empty file")
-    ids = dict(zip(dict.fromkeys(tokens), itertools.count()))  # first appearance
-    uv = np.fromiter(map(ids.__getitem__, tokens), dtype=np.int64, count=len(tokens))
-    n = max(len(ids), hint or 0) if (tokens or hint) else 0
-    return uv.reshape(-1, 2), tuple(ids), n
+    del kept
+    ids, labels = _label_ids(buf, starts, lens)
+    n = max(len(labels), hint or 0) if (ids.size or hint) else 0
+    return ids.reshape(-1, 2), labels, n
+
+
+def _tokens(buf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start and length of every run of non-space bytes, as int32 when the
+    file is under 2 GiB."""
+    word = (~_SPACE)[buf]
+    edge = np.empty(buf.size, dtype=bool)
+    edge[:1] = word[:1]
+    np.greater(word[1:], word[:-1], out=edge[1:])  # a token starts here
+    starts = np.flatnonzero(edge).astype(np.int32 if buf.size < 2**31 else np.int64)
+    edge[-1:] = word[-1:]
+    np.greater(word[:-1], word[1:], out=edge[:-1])  # a token ends after this byte
+    del word
+    lens = np.flatnonzero(edge)
+    del edge
+    lens -= starts - 1
+    return starts, lens.astype(starts.dtype)
+
+
+def _line_breaks(buf: np.ndarray) -> np.ndarray:
+    """Positions of the line breaks, a "\r\n" pair counted once, at its "\r"."""
+    brk = _BREAK[buf]
+    cr = np.flatnonzero(buf[:-1] == ord("\r"))
+    brk[cr[buf[cr + 1] == ord("\n")] + 1] = False
+    return np.flatnonzero(brk)
+
+
+def _line_text(data: bytes, breaks: np.ndarray, i: int) -> str:
+    """Line i (0-based) of the file, without its line end."""
+    lo = 0
+    if i > 0:
+        lo = int(breaks[i - 1]) + 1
+        lo += data[lo - 1 : lo + 1] == b"\r\n"
+    hi = int(breaks[i]) if i < breaks.size else len(data)
+    return data[lo:hi].decode()
+
+
+def _label_ids(buf: np.ndarray, starts: np.ndarray, lens: np.ndarray) -> tuple[np.ndarray, tuple[str, ...]]:
+    """Dense int64 id of each token, in first-appearance order, and the labels.
+
+    A token of length L is keyed by L // 8 + 1 little-endian 8-byte words
+    read at its start, with the bytes past its end masked off and L % 8 in
+    the last word's top byte, so two tokens of one word count have equal
+    keys exactly when their bytes are equal.  Each word count is one group,
+    with one argsort and an adjacent-unequal mask; the smallest token index
+    in a run of equal keys is that label's first appearance.
+    """
+    counts = np.bincount(lens >> 3)  # tokens by word count - 1
+    label = np.empty(starts.size, dtype=starts.dtype)
+    firsts, found = [], 0
+    for w in np.flatnonzero(counts).tolist():
+        sel = slice(None) if counts[w] == starts.size else np.flatnonzero((lens >> 3) == w)
+        keys = _token_keys(buf, starts[sel], lens[sel])
+        if w == 0:
+            order = np.argsort(keys[0])
+            keys.sort(axis=1)  # the same order, in place
+        else:
+            order = np.lexsort(keys)
+            keys = keys[:, order]
+        run = np.ones(order.size, dtype=bool)
+        np.any(keys[:, 1:] != keys[:, :-1], axis=0, out=run[1:])
+        del keys
+        tok = order if isinstance(sel, slice) else sel[order]
+        del order, sel
+        heads = np.flatnonzero(run)
+        ids = run.astype(label.dtype)
+        np.cumsum(ids, out=ids)
+        ids += found - 1
+        label[tok] = ids
+        del run, ids
+        firsts.append(np.minimum.reduceat(tok, heads))
+        found += heads.size
+        del tok, heads
+    first = np.concatenate(firsts) if firsts else np.zeros(0, dtype=np.intp)
+    order = np.argsort(first)
+    rank = np.empty(first.size, dtype=np.int64)
+    rank[order] = np.arange(first.size)
+    ids = rank[label]
+    del label, rank
+    first = first[order]
+    at, size = starts[first].astype(np.int64), lens[first].astype(np.int64) + 1
+    offset = np.cumsum(size) - size  # each label, then a "\n", in one buffer
+    gather = np.arange(int(size.sum())) + np.repeat(at - offset, size)
+    text = buf[np.minimum(gather, buf.size - 1, out=gather)]  # a file-final label ends past it
+    text[offset + size - 1] = ord("\n")
+    return ids, tuple(text.tobytes().decode().split("\n")[:-1])
+
+
+def _token_keys(buf: np.ndarray, starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """(w, k) uint64 keys of k tokens that all span w = L // 8 + 1 words,
+    built in blocks of tokens so that no temporary is the size of a key row."""
+    if buf.size < 8:
+        buf = np.concatenate((buf, np.zeros(8, dtype=np.uint8)))
+    top = buf.size - 8
+    windows = np.ndarray((top + 1,), dtype="<u8", buffer=buf, strides=(1,))  # unaligned
+    keys = np.empty((int(lens[0]) // 8 + 1, starts.size), dtype=np.uint64)
+    for lo in range(0, starts.size, _KEY_BLOCK):
+        block = slice(lo, lo + _KEY_BLOCK)
+        at = starts[block].astype(np.int64)
+        for row in keys:
+            past = np.maximum(at - top, 0).astype(np.uint64) * np.uint64(8)  # past the end: zeros
+            row[block] = windows[np.minimum(at, top)] >> past
+            at += 8
+        rest = lens[block] & 7
+        keys[-1, block] &= _LOW_BYTES[rest]
+        keys[-1, block] |= _TOP_BYTE[rest]
+    return keys
 
 
 def write_edgelist(g: Graph, path) -> None:
-    """Canonical text form: node-count header then ascending 'u v' lines."""
-    body = ("%d %d\n" * g.m) % tuple(g.edge_array().ravel().tolist())
-    Path(path).write_text(f"# nodes: {g.n} edges: {g.m}\n" + body)
+    """Canonical text form: node-count header then ascending 'u v' lines.
+
+    The CSR is written in blocks of rows, each block's digits placed by
+    numpy, so no more than one block of lines is held at a time.
+    """
+    with open(path, "wb") as out:
+        out.write(f"# nodes: {g.n} edges: {g.m}\n".encode())
+        r0 = 0
+        while r0 < g.n:
+            r1 = int(np.searchsorted(g.indptr, g.indptr[r0] + _WRITE_BLOCK, side="right")) - 1
+            r1 = max(r1, r0 + 1)
+            rows = np.repeat(np.arange(r0, r1, dtype=np.int64), g.degrees[r0:r1])
+            cols = g.indices[g.indptr[r0] : g.indptr[r1]]
+            upper = cols > rows
+            out.write(_edge_lines(rows[upper], cols[upper]))
+            r0 = r1
+
+
+def _edge_lines(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """ASCII 'u v' lines, one per pair of non-negative ids."""
+    nums = np.column_stack((u, v)).ravel()
+    end = np.cumsum(np.searchsorted(_POW10, nums, side="right") + 2)  # digits, then ' ' or '\n'
+    text = np.empty(int(end[-1]) if end.size else 0, dtype=np.uint8)
+    text[end - 1] = ord(" ")
+    text[end[1::2] - 1] = ord("\n")
+    at = end - 2  # last digit of each number
+    while nums.size:
+        text[at] = nums % 10 + ord("0")
+        more = nums >= 10
+        nums, at = nums[more] // 10, at[more] - 1
+    return text
 
 
 def _average_ranks(v: np.ndarray) -> np.ndarray:

@@ -99,9 +99,16 @@ def test_empty_file_rejected(tmp_path):
         read_edgelist(p)
 
 
-_LABELS = st.sampled_from(["0", "1", "2", "3", "10", "a", "b", "node-7"])
-_PAD = st.sampled_from(["", " ", "\t", "  "])
-_SEP = st.sampled_from([" ", "\t", "  ", " \t "])
+_LABELS = st.sampled_from([
+    "0", "1", "2", "3", "10", "a", "b", "node-7",
+    "7", "007", "1234567", "12345678", "123456789", "12345678a", "abcdefgh", "abcdefgh\x00",
+    "abcdefghijklmnop", "abcdefghijklmnopq", "naïve", "東京", "\U0001f600", "a#", "%b",
+])
+# every ASCII whitespace byte; the line breaks among them split the line
+_SPACES = " \t\n\x0b\x0c\r\x1c\x1d\x1e\x1f"
+_PAD = st.one_of(st.sampled_from(["", " ", "\t", "  "]), st.text(_SPACES, max_size=3))
+_SEP = st.one_of(st.sampled_from([" ", "\t", "  ", " \t ", "\x1f"]), st.text(_SPACES, min_size=1, max_size=3))
+_END = st.sampled_from(["\n", "\r\n", "\r"])
 _LINE_KINDS = ["pair"] * 4 + ["triple"] * 2 + ["bad", "comment", "hint", "blank"]
 
 
@@ -110,7 +117,7 @@ def edge_list_files(draw):
     """Text and format hint of a file mixing every construct the reader knows:
     a MatrixMarket banner, size and value lines, '#'/'%' comments, '# nodes:'
     hints, blank lines, self-loops, duplicate and reversed pairs, and lines
-    with the wrong number of tokens."""
+    with the wrong number of tokens, over every ASCII separator and line end."""
     lines = []
     if draw(st.booleans()):
         lines.append(draw(_PAD) + "%%MatrixMarket matrix coordinate pattern symmetric")
@@ -130,7 +137,9 @@ def edge_list_files(draw):
         else:
             tokens = []
         lines.append(draw(_PAD) + draw(_SEP).join(tokens) + draw(_PAD))
-    text = "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+    text = "".join(line + draw(_END) for line in lines)
+    if text and draw(st.booleans()):
+        text = text.rstrip("\r\n")  # no line end after the last line
     return text, draw(st.sampled_from([None, "matrixmarket"]))
 
 
@@ -143,7 +152,7 @@ def edge_list_files(draw):
 def test_reader_matches_line_by_line_oracle(tmp_path, case):
     text, format_hint = case
     path = tmp_path / "case.txt"
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8", newline="")  # the line ends reach the reader
     try:
         labels, n, edges = oracle.read_edgelist_naive(path, format_hint)
     except ValueError as exc:
@@ -154,6 +163,24 @@ def test_reader_matches_line_by_line_oracle(tmp_path, case):
     g = read_edgelist(path, format_hint=format_hint)
     assert (g.labels, g.n, g.m) == (labels, n, len(edges))
     assert set(map(tuple, g.edge_array().tolist())) == edges
+
+
+def test_unicode_only_spaces_belong_to_labels(tmp_path):
+    """Only ASCII whitespace separates tokens: a no-break space, unlike in
+    str.split(), is part of a label, so this line is one edge, not three tokens."""
+    p = tmp_path / "nbsp.txt"
+    p.write_text("a\u00a0b c\n", encoding="utf-8")
+    g = read_edgelist(p)
+    assert (g.labels, g.n, g.m) == (("a\u00a0b", "c"), 2, 1)
+    with pytest.raises(ValueError, match="malformed line 1"):
+        oracle.read_edgelist_naive(p)  # the str-based reference splits at U+00A0
+
+
+def test_non_utf8_file_rejected(tmp_path):
+    p = tmp_path / "latin1.txt"
+    p.write_bytes("caf\u00e9 tea\n".encode("latin-1"))
+    with pytest.raises(UnicodeDecodeError):
+        read_edgelist(p)
 
 
 # ---------------------------------------------------------------------------
