@@ -1,5 +1,5 @@
 """Wall time and peak-RSS rise of ``write_edgelist`` and then ``read_edgelist``
-on one large dense graph, er(2500, 0.5) (about 1.56M edges, a 16 MB file).
+on one large dense graph, er(2500, 0.5) (about 1.56M edges, a 14 MB file).
 
 Each step runs in a fresh child process, so its ``ru_maxrss`` rise belongs to
 that step alone: the write child draws the graph and writes it, the read child

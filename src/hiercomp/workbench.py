@@ -1,4 +1,4 @@
-"""Edge-list ingestion, canonical output, and rank statistics.
+r"""Edge-list ingestion, canonical output, and rank statistics.
 
 The reader accepts the common plain-text conventions: one whitespace-
 separated pair per line, '#'/'%' comment lines, an optional MatrixMarket
@@ -123,7 +123,7 @@ def _tokens(buf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _line_breaks(buf: np.ndarray) -> np.ndarray:
-    """Positions of the line breaks, a "\r\n" pair counted once, at its "\r"."""
+    r"""Positions of the line breaks, a "\r\n" pair counted once, at its "\r"."""
     brk = _BREAK[buf]
     cr = np.flatnonzero(buf[:-1] == ord("\r"))
     brk[cr[buf[cr + 1] == ord("\n")] + 1] = False

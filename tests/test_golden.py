@@ -427,8 +427,9 @@ def _io_files():
 
 
 def _digit_width_graph(rng):
-    """200k edges on 12000 nodes: ids on both sides of every digit boundary,
-    isolated rows inside and at the end, and rows of up to 11998 neighbours."""
+    """About 180k edges on 12000 nodes: ids on both sides of every digit
+    boundary, isolated rows inside and at the end, and a hub row of 11889
+    neighbours."""
     keep = np.setdiff1d(np.arange(11990), np.arange(5000, 5100))
     pairs = keep[rng.integers(0, keep.size, size=(170_000, 2))]
     edges = [(b - 1, b) for b in (10, 100, 1000, 10000)] + [(0, 9999), (9, 11989)]
