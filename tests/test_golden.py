@@ -33,6 +33,9 @@ P3 = [(0, 1), (1, 2)]
 
 MANIFESTS = {
     "fig2": RunManifest(experiment="fig2", seed=0, realisations=2, n_range=(30, 80)),
+    # er on both sides of the dense switch at p = 1/2
+    "fig3": RunManifest(experiment="fig3", seed=0, grid=((40, 0.7), (120, 0.05), (300, 0.01)),
+                        seeds_per_point=3),
     "fig4": RunManifest(experiment="fig4", seed=0, realisations=3, n=120),
     "fig5": RunManifest(
         experiment="fig5", seed=0, n=120, base_count=1, base_density=0.05,
@@ -58,6 +61,7 @@ FIG5_COARSE_SPARSE = RunManifest(
 
 GOLDEN_CSV = {
     "fig2.csv": "0fd9ac4715a84a37acb7bdd7e678fb60614871dd719f35f4c2997934cc9212bb",
+    "fig3.csv": "af649f214d81c7b2c15f0593fcc7aa2c0935dbbd0c8039e2abdbcd754282b958",
     "fig4.csv": "010a9e63dfe1e629514aaf9d35c27f1e68e07acd684ea63cb4bba451a01cf625",
     "fig4_profile.csv": "1e5c5d82db3002490feb4b3a3ca56a02db6e693c282ebf3c6eae2093441e0681",
     "fig5.csv": "4e5a7d2532d2bb0754b63ae5e26b7f5bbb7e9a77554463b71f3d63fec4bf32df",
