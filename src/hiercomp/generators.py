@@ -14,6 +14,12 @@ All generators are deterministic in (parameters, seed) down to the byte
 level of the edge set.  Weight ties in the geometric selectors break
 lexicographically by node pair.
 
+er never visits the pairs it leaves out.  It jumps from one kept pair to the
+next by geometric skipping (Batagelj & Brandes, Phys. Rev. E 71, 036113,
+2005), so its work and memory are O(n + m); above p = 1/2 it skips over the
+absent pairs instead and inverts them.  This stream replaced a per-pair
+draw, so er graphs differ from those of versions that drew every pair.
+
 The geometric families never rank all n(n-1)/2 pairs.  A weight floor that
 at least m pairs reach is sized from a sample of pairs; k-d tree radius
 queries, one per pair of log-strength buckets, collect every pair that can
@@ -31,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .graph import Graph, complement_codes, from_codes
+from .graph import Graph, _row_starts, complement_codes, from_codes
 
 __all__ = [
     "ModelSpec",
@@ -92,14 +98,65 @@ def child_seed(seed: int, *path: int) -> int:
 
 
 def gen_er(n: int, p: float, seed: int) -> Graph:
-    """Independent-pairs random graph on n nodes with edge probability p."""
+    """Independent-pairs random graph on n nodes with edge probability p.
+
+    The gaps between kept pairs, in ascending code order, are geometric
+    (:func:`_skip_pairs`), so the work is O(n + m), not O(n^2).  For
+    p > 1/2 the absent pairs are skipped to, with probability 1 - p, and
+    the edges are their complement.  The edge set depends on (n, p, seed)
+    alone.
+    """
     if n < 1:
         raise ValueError("n must be positive")
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
     rng = np.random.default_rng(seed)
-    rows = [np.flatnonzero(rng.random(n - 1 - i) < p) + (i * n + i + 1) for i in range(n - 1)]
-    return from_codes(n, np.concatenate(rows) if rows else np.empty(0, np.int64))
+    if p > 0.5:
+        return from_codes(n, complement_codes(n, _skip_pairs(n, 1.0 - p, rng)))
+    return from_codes(n, _skip_pairs(n, p, rng))
+
+
+_ER_BLOCK = 1 << 16  # uniforms drawn at a time
+
+
+def _skip_pairs(n: int, q: float, rng: np.random.Generator) -> np.ndarray:
+    """Ascending codes of the pairs on n nodes kept when each is kept
+    independently with probability q <= 1/2.
+
+    The gap from one kept pair's rank to the next is 1 + floor(log1p(-U) /
+    log1p(-q)) for a uniform U, and ranks map to codes through the row
+    starts.  Uniforms come in blocks of ``_ER_BLOCK`` read in order from one
+    stream, so the codes do not depend on the block size, and only the kept
+    codes outlive a block.
+    """
+    pairs = n * (n - 1) // 2
+    if q == 0.0 or pairs == 0:
+        return np.empty(0, np.int64)
+    starts = _row_starts(n)
+    offset = np.arange(n, dtype=np.int64) * (n + 1) + 1 - starts  # code - rank in each row
+    log_q = math.log1p(-q)
+    block = min(_ER_BLOCK, pairs + 1)  # pairs + 1 gaps always pass the last pair
+    kept, last = [], -1
+    while True:
+        gaps = np.log1p(-rng.random(block))
+        with np.errstate(over="ignore"):  # a subnormal q: gaps beyond every pair
+            gaps /= log_q
+        np.minimum(gaps, pairs, out=gaps)  # so that the cast stays in int64
+        ranks = gaps.astype(np.int64)
+        ranks += 1
+        np.cumsum(ranks, out=ranks)
+        ranks += last
+        stop = int(np.searchsorted(ranks, pairs))
+        if stop:
+            ranks = ranks[:stop]
+            last = int(ranks[-1])
+            # the block's ranks ascend, so each row's ranks are one run
+            u0, u1 = np.searchsorted(starts, (ranks[0], last), side="right")
+            runs = np.diff(np.searchsorted(ranks, starts[u0:u1]), prepend=0, append=stop)
+            ranks += np.repeat(offset[u0 - 1:u1], runs)
+            kept.append(ranks)
+        if stop < block:
+            return np.concatenate([np.empty(0, np.int64), *kept])
 
 
 def _distinct_points(n: int, dims: int, rng: np.random.Generator) -> np.ndarray:

@@ -5,9 +5,9 @@ Everything here is written directly from the definitions, in plain Python
 and these routines must not share code with it.  Slow is fine; these only
 run on small graphs inside the test suite.  The exceptions are earlier
 versions of production paths, kept in numpy as references for their
-replacements (the all-pairs geometric scan, the per-pair rejection loop of
-degree-sum attachment, the stub-pairing repair that draws through numpy one
-number at a time).
+replacements (the row-wise er draw of one uniform per pair, the all-pairs
+geometric scan, the per-pair rejection loop of degree-sum attachment, the
+stub-pairing repair that draws through numpy one number at a time).
 """
 
 from __future__ import annotations
@@ -264,6 +264,19 @@ def _sqrt_fraction(q: Fraction) -> Fraction | None:
     if pn * pn == q.numerator and pd * pd == q.denominator:
         return Fraction(pn, pd)
     return None
+
+
+# ---------------------------------------------------------------------------
+# er, one uniform per pair
+
+
+def er_rowwise(n: int, p: float, seed: int) -> np.ndarray:
+    """Ascending pair codes of an er graph drawn one uniform per pair, row by
+    row: pair (u, v) is an edge when its uniform is below p.  O(n^2) draws;
+    the distribution reference for ``generators.gen_er``."""
+    rng = np.random.default_rng(seed)
+    rows = [np.flatnonzero(rng.random(n - 1 - i) < p) + (i * n + i + 1) for i in range(n - 1)]
+    return np.concatenate(rows) if rows else np.empty(0, np.int64)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ from __future__ import annotations
 import logging
 import re
 import time
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -78,6 +79,81 @@ def test_er_input_validation():
         gen_er(10, 1.5, seed=0)
     with pytest.raises(ValueError, match="n must be positive"):
         gen_er(0, 0.5, seed=0)
+
+
+@pytest.mark.parametrize("n,p,m", [
+    (1, 0.5, 0), (1, 1.0, 0), (2, 0.0, 0), (2, 1.0, 1), (12, 0.0, 0), (12, 1.0, 66),
+    (12, 5e-324, 0), (12, 1 - 2**-53, 66), (2000, 1 - 2**-53, pair_count(2000)),
+])
+def test_er_edge_cases(n, p, m):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow or invalid-value warning
+        g = gen_er(n, p, seed=5)
+    assert (g.n, g.m) == (n, m)
+    assert int(g.degrees.sum()) == 2 * m
+
+
+def test_er_sparse_side_holds_no_pair_sized_array():
+    # 5 * 10**11 pairs: an array over them could not be allocated
+    n = 10**6
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert gen_er(n, 5e-324, seed=1).m == 0
+        # p = 1 - 2**-53 skips over the absent pairs with q = 2**-53
+        assert generators._skip_pairs(n, 2**-53, np.random.default_rng(1)).size == 0
+    g = gen_er(n, 2e-11, seed=3)  # about 10 edges
+    assert g.n == n and 0 < g.m < 40
+    assert np.all(np.diff(g.codes()) > 0)
+
+
+@given(n=st.integers(1, 80), p=st.floats(0.0, 1.0), seed=st.integers(0, 2**32),
+       block=st.sampled_from([1, 2, 7, 64]))
+@example(n=60, p=0.7, seed=0, block=7)
+@example(n=80, p=0.05, seed=1, block=7)
+@settings(max_examples=120, deadline=None)
+def test_er_edge_set_does_not_depend_on_block_size(n, p, seed, block):
+    with mock.patch.object(generators, "_ER_BLOCK", block):
+        small = gen_er(n, p, seed)
+    assert np.array_equal(small.codes(), gen_er(n, p, seed).codes())
+
+
+@pytest.mark.parametrize("p", [0.05, 0.5, 0.8])
+def test_er_pair_frequencies_and_edge_count_match_binomial(p):
+    """Over 2000 seeds at n = 12: each of the 66 pairs is an edge with
+    frequency p (chi-square), and the edge count has the mean and variance
+    of Binomial(66, p).  Seeds and bounds fixed in advance."""
+    from scipy import stats
+
+    n, runs, pairs = 12, 2000, pair_count(12)
+    hits = np.zeros(n * n, dtype=np.int64)
+    counts = np.empty(runs)
+    for seed in range(runs):
+        codes = gen_er(n, p, seed).codes()
+        hits[codes] += 1
+        counts[seed] = codes.size
+    rows, cols = np.triu_indices(n, 1)
+    per_pair = hits[rows * n + cols]
+    assert per_pair.sum() == counts.sum()
+    chi2 = float((((per_pair - runs * p) ** 2) / (runs * p * (1 - p))).sum())
+    assert stats.chi2.sf(chi2, pairs) > 1e-3
+    var = pairs * p * (1 - p)
+    assert abs(counts.mean() - pairs * p) < 4 * np.sqrt(var / runs)
+    excess_kurtosis = (1 - 6 * p * (1 - p)) / var
+    assert abs(counts.var(ddof=1) / var - 1) < 4 * np.sqrt((2 + excess_kurtosis) / runs)
+
+
+def test_er_measure_matches_rowwise_draw():
+    """R-hat of er(1000, 0.01) from the skipping draw and from one uniform
+    per pair: a two-sided rank-sum test at 30 fixed seeds a side."""
+    from scipy import stats
+
+    from hiercomp.complexity import nhc_global
+    from hiercomp.graph import from_codes
+
+    skip = [nhc_global(gen_er(1000, 0.01, child_seed(0, 1300, s))) for s in range(30)]
+    rowwise = [nhc_global(from_codes(1000, oracle.er_rowwise(1000, 0.01, child_seed(0, 1301, s))))
+               for s in range(30)]
+    assert stats.ranksums(skip, rowwise).pvalue > 0.01
 
 
 @pytest.mark.parametrize("n,density", [(40, 0.1), (120, 0.05), (60, 0.5), (30, 0.9)])

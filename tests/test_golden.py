@@ -60,8 +60,8 @@ FIG5_COARSE_SPARSE = RunManifest(
 )
 
 GOLDEN_CSV = {
-    "fig2.csv": "0fd9ac4715a84a37acb7bdd7e678fb60614871dd719f35f4c2997934cc9212bb",
-    "fig3.csv": "af649f214d81c7b2c15f0593fcc7aa2c0935dbbd0c8039e2abdbcd754282b958",
+    "fig2.csv": "b482cb1e04f47faa8be8393e76ff2d87b0fa721a87728d4190b59d172f77ab67",
+    "fig3.csv": "8f0bc10c094a762dabb161d2cf5eed635453ceaca823bdea7169ede7106a19a9",
     "fig4.csv": "010a9e63dfe1e629514aaf9d35c27f1e68e07acd684ea63cb4bba451a01cf625",
     "fig4_profile.csv": "1e5c5d82db3002490feb4b3a3ca56a02db6e693c282ebf3c6eae2093441e0681",
     "fig5.csv": "4e5a7d2532d2bb0754b63ae5e26b7f5bbb7e9a77554463b71f3d63fec4bf32df",
@@ -69,8 +69,8 @@ GOLDEN_CSV = {
 
 GOLDEN_REPORTS = {
     "sixnode": "04eab8d8f2048adb1a3506b0bd60fa94e186676d525d120ec3e804d2582b9475",
-    "er-40": "7f7f4b5264df97e749f488e20444b2d14b6443c1c3c26fb3584a205376275e08",
-    "er-90": "87cd82b10fabe488269b7625145af4d0cd3b6c27cf2524dc5384079ed426c825",
+    "er-40": "a32cb8a9ac6be73d7f0ce3679606b3c563bfb8da4a1663fa8410cb9bd6960001",
+    "er-90": "3d69b292f86d9ebcd98478c7547540f18d27d9fffca51c7395f51ec0763f8241",
     "rgg-40": "fbe15be0b5fa393b40adac1ace1ac41489ec047ae8fffd5ed8f1ae16e1ffb580",
     "rgg-90": "2d817c467f5d7f37e33d28c1f288633f57115280efedcab1d38316ede7914b91",
     "rhgg-40": "4c8d3ddac023ccde09577235e7e213da37158337851bf41cc621952a136dacad",
@@ -82,8 +82,8 @@ GOLDEN_REPORTS = {
 # repr of [hc_global, nhc_global, sqrt-k, sqrt-k sqrt-m] at ddof 0, then ddof 1
 GOLDEN_MEASURES = {
     "sixnode": "6d986254b973d5daf586f32358c7c1ef499f1a3d28ae5a4833a8993122577ccc",
-    "er-40": "af13551ee52111e1d62d266343e2753e0658d2984725ec3066982027d29f7242",
-    "er-90": "a678d880e5ae86a461e1d3de1421bdde3099639fabb217b16a0a9cffdef2fb1a",
+    "er-40": "feda3d2bf4794e5954e593a6682f815434c84f3c04e202400da1ad509d774217",
+    "er-90": "16962a36422eb654868db075cd2305b8836737c774bfd2b6e342da8defe628bd",
     "rgg-40": "48b4d8f8e26aac0d620af818dfb18bca6e54a1051ccdbda079b321226121eaf1",
     "rgg-90": "082d0618d7f5b408cdc82eed645468681f25d4cf6e8ad35bdf03198ba849cb95",
     "rhgg-40": "9ea63192d4229659f9290fb0a496be51ddb07070ab3a16a7a8d0e7bf63e69643",
@@ -104,8 +104,8 @@ GOLDEN_EDGES = {
 # and of the bytes of a written edge-list file
 GOLDEN_CSR = {
     "sixnode": "72720157212519546556bebc6ccb9a52025c80071f4f28b19f1f892df78257b2",
-    "er-40": "ad518f51638bf93d4bb3db79826eccdb54b70cebfa02cafc646c08b33aa05b3b",
-    "er-90": "9377d52d2f33053c0bf38346b09e79c78f5558865daf09ba4fe10de185185b4e",
+    "er-40": "a5c11026f4bbcf1df4f17b3c4ac4b2a941db1aa040b291f73f2e3112bd338f7f",
+    "er-90": "53daf31dc2da0f7ab1a9ccbe4e5063e63389fb789d2d12b4684170748d8c26bd",
     "rgg-40": "96fb82d64d064e42a2ff9ae74c519e7c9aca15059edbe70cc90dc10a6057a126",
     "rgg-90": "948315c08cc58015a5f7629f62f301cf4d33c232a00a8fd604afcc3b04933a08",
     "rhgg-40": "ed377680d70ba9ceb2cbcab459448618147d0361be59d9e8a734698c5cf09c07",
@@ -133,10 +133,10 @@ GOLDEN_CSR = {
 # add_edges above n = 8192 (the draws do not depend on n; these pin the same
 # paths on graphs too large to list every non-edge)
 GOLDEN_LARGE = {
-    "er9000-random": "d1b2f8bc90818f72ec2e64e8cc0765b9d4f99490e6d309498cf399aaa167f0d8",
-    "er9000-hierarchical": "918582e9e97401dbe242f3defa30a13571a0ce981f78dba40fd1c1898b6fae30",
-    "er9000-similarity": "cf8a76f0efc40119dd25cb55df2e99f59728d09a0478ab442ef183d306351a9c",
-    "er9000-combined": "0119b808f4d164acc5185a710610d8d54609a8b65249b5f64294c658559e63f4",
+    "er9000-random": "d8d939f5c8dcbbf7c75e0b94e79f3b1e3eb607dd689800183c13d66b1d5a2a50",
+    "er9000-hierarchical": "5296f45c49157da70e7925c838bd2927fcb6286e353841845d281b0f59665ab8",
+    "er9000-similarity": "04dd0494f4916c18bf23798ee290db5300b3798adf2ca1c9697be20e0cfb4d77",
+    "er9000-combined": "5f295b0f901e76956301a585325851990af3a274fcb27fd3441aa175a49e7b2e",
     "empty9000-hierarchical": "890089bd718c84bfa55da25de23e996f37243686c3a2cebb838bc60c5744438f",
     "disjoint9001-similarity": "7d567798a369e2e4cf3d7c773d7e13672a1d873467fd379e984e086d3a01af0d",
     "disjoint9001-combined": "7d567798a369e2e4cf3d7c773d7e13672a1d873467fd379e984e086d3a01af0d",
@@ -223,8 +223,8 @@ GOLDEN_GEOMETRIC = {
 GOLDEN_BLOCKS = {
     "rhgg1000-random": "d132c9031b94a52a9981ee65101c1b6014fdc0aa9853c90ebc3ff0814d3a0e96",
     "rhgg1000-hierarchical": "2937465d6683dd3b844e6b857f5be5229a2514d4996b4ece38adcf6a7ef1af80",
-    "er3000-random": "02439a5159465ff5ae1244484bd3b40cdd2a64a1d1d9a3402494ab440902a458",
-    "er3000-hierarchical": "551ff11ef745afa9179387f709f60f51e5e138d86f082360bff7a585fa666bcd",
+    "er3000-random": "2112029fd577f28d3ebe20cabbe6cc12018e593255c717dcbf86d58389722e8d",
+    "er3000-hierarchical": "31bf95c048b8cd6a65ab1130a4af5fba9f7ff08eec3c009096bdb7073c729bd8",
     "rhgg1000-random-all": "2957d94084e46c6b5cfcda8209a8888107ebc3cd721a8d6297e70e6213987054",
     "path30pad1000-hierarchical": "2facc4c8fde9b43dda6cd90e063916cbc499461e344edb9570637690ca339f6e",
     "path30pad1000-similarity": "e55783d47dcb7958a0fd4ef22bf5ee4beb8d4fe78d32f5dd3513eb9d8639da46",
