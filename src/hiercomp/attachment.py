@@ -119,15 +119,21 @@ class _SharedPairs:
             (np.ones(g.indices.size, dtype=np.float64), g.indices, g.indptr),
             shape=(g.n, g.n),
         )
-        c = (a @ a).tocsr()
-        c.setdiag(0)
-        c.eliminate_zeros()
-        c = sparse.triu(c, k=1).tocsr()
-        c = (c - c.multiply(a)).tocoo()
-        keep = c.data > 0
-        codes = c.row[keep].astype(np.int64) * g.n + c.col[keep]
+        c = a @ a
+        # the pairs u < v of the product, by a mask on its CSR rows
+        rows = np.repeat(np.arange(g.n, dtype=c.indices.dtype), np.diff(c.indptr))
+        upper = c.indices > rows
+        codes = rows[upper].astype(np.int64)
+        del rows
+        codes *= g.n
+        codes += c.indices[upper]
+        counts = c.data[upper]
+        del c, upper
         order = np.argsort(codes)
-        self.codes, self.counts = codes[order], c.data[keep][order]
+        codes, counts = codes[order], counts[order]
+        del order
+        pos, edge = _find(codes, g.codes())  # drop the pairs that are edges
+        self.codes, self.counts = np.delete(codes, pos[edge]), np.delete(counts, pos[edge])
 
     def weights(self, g: Graph, mechanism: str) -> np.ndarray:
         """The Jaccard overlap (similarity) or the shared count (combined)

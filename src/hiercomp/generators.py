@@ -146,7 +146,10 @@ def _skip_pairs(n: int, q: float, rng: np.random.Generator) -> np.ndarray:
         ranks += 1
         np.cumsum(ranks, out=ranks)
         ranks += last
-        stop = int(np.searchsorted(ranks, pairs))
+        # ranks ascend until they pass the last pair; only past it can a
+        # sum of clipped gaps wrap around int64 (n above about 10^7)
+        past = ranks >= pairs
+        stop = int(past.argmax()) if past.any() else block
         if stop:
             ranks = ranks[:stop]
             last = int(ranks[-1])

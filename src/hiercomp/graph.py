@@ -108,17 +108,29 @@ def build_graph(edges, n_hint: int | None = None) -> Graph:
         n = int(n_hint)
     else:
         n = max_id + 1
-    lo, hi = np.minimum(uv[:, 0], uv[:, 1]), np.maximum(uv[:, 0], uv[:, 1])
-    return from_codes(n, sorted_unique((lo * np.int64(n) + hi)[lo != hi]))
+    # codes lo * n + hi built in place; each array goes as soon as it is used
+    codes = np.minimum(uv[:, 0], uv[:, 1])
+    hi = np.maximum(uv[:, 0], uv[:, 1])
+    del uv
+    loop = codes == hi
+    codes *= n
+    codes += hi
+    del hi
+    if loop.any():
+        codes = codes[~loop]
+    del loop
+    codes = sorted_unique(codes)
+    return from_codes(n, codes)
 
 
 def sorted_unique(codes: np.ndarray) -> np.ndarray:
-    """Ascending distinct values of an int64 array, by a sort and an
-    adjacent-equal mask (numpy's ``np.unique`` hashes int64, far slower)."""
-    out = np.sort(codes)
-    keep = np.ones(out.size, dtype=bool)
-    np.not_equal(out[1:], out[:-1], out=keep[1:])
-    return out[keep]
+    """Ascending distinct values of an int64 array, which it sorts in place,
+    by a sort and an adjacent-equal mask (numpy's ``np.unique`` hashes int64,
+    far slower)."""
+    codes.sort()
+    keep = np.ones(codes.size, dtype=bool)
+    np.not_equal(codes[1:], codes[:-1], out=keep[1:])
+    return codes[keep]
 
 
 def from_codes(n: int, codes: np.ndarray, labels=None) -> Graph:
@@ -133,7 +145,12 @@ def from_codes(n: int, codes: np.ndarray, labels=None) -> Graph:
     degrees = np.bincount(lo, minlength=n) + np.bincount(hi, minlength=n)
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(degrees, out=indptr[1:])
-    indices = np.concatenate((codes, hi * n + lo))
+    indices = np.empty(2 * codes.size, dtype=np.int64)
+    indices[:codes.size] = codes
+    reverse = indices[codes.size:]  # v * n + u, written in place
+    np.multiply(hi, n, out=reverse)
+    reverse += lo
+    del lo, hi, reverse
     indices.sort()
     indices %= n
     return Graph(n=n, m=int(codes.size), indptr=indptr, indices=indices,
