@@ -1,5 +1,6 @@
-"""Wall time and peak RSS of geometric generation and of random attachment,
-the k-d tree selection against the all-pairs scan it replaced.
+"""Wall time and peak RSS of geometric generation, of er generation and of
+random attachment, the k-d tree selection and geometric skipping against the
+all-pairs scans they replaced.
 
 Each point runs in a fresh child process, so its peak RSS (``ru_maxrss``)
 belongs to that point alone.  Run from a checkout:
@@ -9,7 +10,9 @@ belongs to that point alone.  Run from a checkout:
 
 The scan side generates the same points and strengths and then ranks every
 pair (``tests/oracle.py::geometric_top_m_naive``); for ``add_edges`` it lists
-every non-edge at once and indexes the list with the same rank draws.
+every non-edge at once and indexes the list with the same rank draws; for er
+it draws one uniform per pair (``tests/oracle.py::er_rowwise``), a graph from
+the same distribution but another stream.
 Prints one JSON line per run.
 """
 
@@ -26,8 +29,12 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# (family, n, density, sigma, scan finishes in minutes on a 2-core box)
+# (family, n, density or p, sigma, scan finishes in minutes on a 2-core box)
 POINTS = [
+    ("er", 20_000, 5e-4, 0.0, True),
+    ("er", 100_000, 1e-4, 0.0, True),
+    ("er", 6000, 0.5, 0.0, True),
+    ("er", 6000, 0.9, 0.0, True),
     ("rgg", 100_000, 1e-4, 0.3, False),
     ("rhgg", 100_000, 1e-4, 0.3, False),
     ("rhgg", 20_000, 1e-3, 1.0, True),
@@ -71,7 +78,11 @@ def child(family: str, n: int, density: float, sigma: float, impl: str) -> dict:
         out["peak_rss_mb"] = _maxrss_mb()
         return out
     t0 = time.perf_counter()
-    if family == "rgg":
+    if family == "er" and impl == "scan":
+        g = from_codes(n, oracle.er_rowwise(n, density, 1))
+    elif family == "er":
+        g = generators.gen_er(n, density, seed=1)
+    elif family == "rgg":
         g = generators.gen_rgg(n, density, seed=1)
     else:
         g = generators.gen_rhgg(n, density, seed=1, lognormal_sigma=sigma)

@@ -24,7 +24,7 @@ from hiercomp.generators import (
     gen_rhgg,
     generate,
 )
-from hiercomp.graph import build_graph
+from hiercomp.graph import build_graph, complement_codes
 
 
 CONFIG_ERRORS = {
@@ -82,7 +82,7 @@ def test_er_input_validation():
 
 
 @pytest.mark.parametrize("n,p,m", [
-    (1, 0.5, 0), (1, 1.0, 0), (2, 0.0, 0), (2, 1.0, 1), (12, 0.0, 0), (12, 1.0, 66),
+    (1, 0.5, 0), (1, 1.0, 0), (2, 0.0, 0), (2, 1.0, 1),
     (12, 5e-324, 0), (12, 1 - 2**-53, 66), (2000, 1 - 2**-53, pair_count(2000)),
 ])
 def test_er_edge_cases(n, p, m):
@@ -104,6 +104,13 @@ def test_er_sparse_side_holds_no_pair_sized_array():
     g = gen_er(n, 2e-11, seed=3)  # about 10 edges
     assert g.n == n and 0 < g.m < 40
     assert np.all(np.diff(g.codes()) > 0)
+
+
+def test_er_skips_to_absent_pairs_above_one_half():
+    for p in (0.5, np.nextafter(0.5, 1.0), 0.9):
+        skipped = generators._skip_pairs(30, min(p, 1.0 - p), np.random.default_rng(9))
+        expected = skipped if p <= 0.5 else complement_codes(30, skipped)
+        assert np.array_equal(gen_er(30, p, 9).codes(), expected)
 
 
 @given(n=st.integers(1, 80), p=st.floats(0.0, 1.0), seed=st.integers(0, 2**32),
