@@ -329,6 +329,8 @@ def density_sweep(
     step, updated from each step's new edges, and build them from ``A @ A``
     only before the first step.
     """
+    if mechanism not in MECHANISMS:
+        raise ValueError(f"unknown mechanism {mechanism!r}")
     fr = [float(f) for f in fractions]
     if not fr:
         raise ValueError("fractions must be non-empty")

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
@@ -61,6 +62,19 @@ class RunManifest:
     mechanisms: tuple[str, ...] = MECHANISMS
     inputs: tuple[str, ...] = ()
     workers: int = 0
+
+    def __post_init__(self) -> None:
+        for key, known in (("families", _FAMILY_INDEX), ("mechanisms", MECHANISMS)):
+            bad = [v for v in getattr(self, key) if v not in known]
+            if bad:
+                raise ValueError(f"{key}: unknown {bad}, expected some of {list(known)}")
+        for key in ("n_range", "density_range", "sigma_range"):
+            v = getattr(self, key)
+            ok = (isinstance(v, (tuple, list)) and len(v) == 2
+                  and all(isinstance(x, numbers.Real) and not isinstance(x, bool) for x in v)
+                  and v[0] <= v[1])
+            if not ok:
+                raise ValueError(f"{key}: expected two ordered numbers [lo, hi], got {v!r}")
 
     @classmethod
     def from_json(cls, path) -> "RunManifest":

@@ -35,7 +35,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .graph import Graph, _row_starts, complement_codes, from_codes
 
@@ -297,6 +296,8 @@ def _geometric_top_m(pts: np.ndarray, m: int, strengths: np.ndarray | None) -> G
     collect every pair that could reach it, and their exact weights go
     through one top-m cut, so the edge set is that of ranking all pairs.
     """
+    from scipy.spatial import cKDTree
+
     n, dims = pts.shape
     if m == 0:
         return from_codes(n, np.empty(0, np.int64))

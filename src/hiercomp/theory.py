@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 __all__ = [
     "BinomialDistribution",
@@ -37,6 +36,8 @@ class BinomialDistribution:
     """Exact B(n_trials, p) evaluated in log space for tail stability."""
 
     def __init__(self, n_trials: int, p: float):
+        from scipy.special import gammaln
+
         if n_trials < 1:
             raise ValueError("n_trials must be positive")
         if not 0.0 <= p <= 1.0:

@@ -54,6 +54,8 @@ _WRITE_BLOCK = 1 << 16  # CSR entries per block of rows written at once
 
 def read_edgelist(path, format_hint: str | None = None) -> Graph:
     """Parse an edge-list file into a :class:`Graph`."""
+    if format_hint not in (None, "matrixmarket"):
+        raise ValueError(f"unknown format_hint {format_hint!r}, expected None or 'matrixmarket'")
     uv, labels, n = _read_id_pairs(path, format_hint)
     return replace(build_graph(uv, n_hint=n), labels=labels)
 

@@ -327,6 +327,8 @@ def test_density_sweep_validation():
         density_sweep(g, "random", (0.0, 0.02, 0.01))
     with pytest.raises(ValueError, match="non-negative"):
         density_sweep(g, "random", (-0.1, 0.0))
+    with pytest.raises(ValueError, match="unknown mechanism 'bogus'"):
+        density_sweep(g, "bogus", (0.0,))
 
 
 # --------------------------------------------------------------------------

@@ -174,6 +174,21 @@ def test_sweep_experiment_mismatch(tmp_path, capsys):
     assert "manifest is for 'fig3'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("experiment, settings, key", [
+    ("fig2", {"families": ["er", "bogus"]}, "families"),
+    ("fig2", {"n_range": [50]}, "n_range"),
+    ("fig5", {"mechanisms": ["random", "bogus"], "fractions": [0.0]}, "mechanisms"),
+])
+def test_sweep_malformed_manifest_exits_2(tmp_path, capsys, experiment, settings, key):
+    mpath = tmp_path / "m.json"
+    mpath.write_text(json.dumps({"experiment": experiment, **settings}))
+    out = tmp_path / "out"
+    assert main(["sweep", experiment, "--manifest", str(mpath), "--output-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key}:")
+    assert not out.exists()
+
+
 def test_rank_directory_csv(tmp_path, capsys):
     nets = tmp_path / "nets"
     nets.mkdir()

@@ -40,6 +40,18 @@ def test_manifest_rejects_unknown_keys(tmp_path):
         RunManifest.from_json(p)
 
 
+@pytest.mark.parametrize("settings, key", [
+    ({"families": ("er", "ba")}, "families"),
+    ({"mechanisms": ("preferential",)}, "mechanisms"),
+    ({"n_range": (500, 50)}, "n_range"),
+    ({"density_range": (0.1, "0.5")}, "density_range"),
+    ({"sigma_range": (0.0, 0.5, 1.0)}, "sigma_range"),
+])
+def test_manifest_rejects_malformed_settings_when_built(settings, key):
+    with pytest.raises(ValueError, match=f"^{key}:"):
+        RunManifest(experiment="fig2", **settings)
+
+
 def test_manifest_rejects_unknown_experiment(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text('{"experiment": "fig9"}')

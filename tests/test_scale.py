@@ -1,0 +1,48 @@
+"""scripts/scale.py: every row's sides, in process at small sizes, must
+agree where the script requires it; one point through the child runner."""
+
+from __future__ import annotations
+
+import dataclasses
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "scripts"))  # also seen by the runner's spawned children
+import scale  # noqa: E402
+
+SMALL_N = 600
+
+
+@pytest.mark.parametrize("point", scale.POINTS.values(), ids=list(scale.POINTS))
+def test_point_sides_agree_at_small_size(point, tmp_path, monkeypatch):
+    small = dataclasses.replace(point, n=min(point.n, SMALL_N))
+    records = []
+    for side in small.sides:
+        with monkeypatch.context() as mp:  # undoes a reference side's patch
+            records.append(scale.measure(small, side, tmp_path, mp.setattr))
+    assert [r["side"] for r in records] == list(point.sides)
+    assert all(r["wall_s"] >= 0 and r["peak_rss_mb"] > 0 for r in records)
+    expected = "agree" if point.compare and len(point.sides) > 1 else "not compared"
+    assert scale.verdict(small, records) == expected
+
+
+def test_verdict_flags_a_difference():
+    p = scale.POINTS["repair-600"]
+    recs = [{"sha": "a"}, {"sha": "b"}]
+    assert scale.verdict(p, recs) == "differ"
+    assert scale.verdict(scale.POINTS["er-6000-0.5"], recs) == "not compared"
+
+
+def test_partial_run_prints_records_and_writes_no_file(capsys):
+    before = set(ROOT.glob("BENCH_*.json"))
+    assert scale.main(["theory-fig3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    record = json.loads(lines[0])
+    assert (record["point"], record["side"]) == ("theory-fig3", "new")
+    assert lines[1] == "theory-fig3: not compared"
+    assert set(ROOT.glob("BENCH_*.json")) == before
+    assert scale.main(["no-such-point"]) == 2

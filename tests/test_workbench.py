@@ -69,6 +69,13 @@ def test_matrixmarket_banner_and_size_line(tmp_path):
     assert np.array_equal(g2.edge_array(), g.edge_array())
 
 
+def test_unknown_format_hint_rejected(tmp_path):
+    p = tmp_path / "g.txt"
+    p.write_text("1 2\n")
+    with pytest.raises(ValueError, match="format_hint 'mtx'"):
+        read_edgelist(p, format_hint="mtx")
+
+
 def test_nodes_hint_retains_isolated_nodes(tmp_path):
     p = tmp_path / "iso.txt"
     p.write_text("# nodes: 9 edges: 2\n0 1\n1 2\n")
@@ -220,14 +227,16 @@ def test_spearman_matches_scipy():
         assert p == pytest.approx(float(ref.pvalue), rel=1e-9, abs=1e-12)
 
 
-def test_import_leaves_scipy_stats_unloaded():
-    """scipy.stats takes most of the package's import time and only
-    spearman's t-transform p uses it, so it is imported there."""
+def test_import_leaves_scipy_unloaded():
+    """Importing scipy takes about ten times as long as the package itself,
+    so scipy.stats (spearman), scipy.spatial (the geometric top-m),
+    scipy.special (BinomialDistribution) and scipy.sparse are imported
+    inside the functions that use them."""
     src = Path(__file__).resolve().parents[1] / "src"
     code = (f"import sys; sys.path.insert(0, {str(src)!r}); import hiercomp, hiercomp.cli; "
-            "print('scipy.stats' in sys.modules)")
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
 
 
 def test_spearman_exact_small_sample():
