@@ -92,6 +92,20 @@ GOLDEN_MEASURES = {
     "rhg-90": "933322399e39b53b751a2043144472a8eccab63835ed4ca54921276a8ecae8aa",
 }
 
+# fig2's three measures in fig2's order, then in reverse order, then
+# complexity_report, all on one graph object, at ddof 0 and then ddof 1
+GOLDEN_MEASURE_ORDER = {
+    "sixnode": "969eb25b6d9e49b6f302caa23ae0dc8940b03d6f9af341d593ea3bf8979e210d",
+    "er-40": "83e548dc0dc47b7cdf66fe51ac56faf28ce6ca3c4e686cb09eade165c683e633",
+    "er-90": "1ffa3556509804fb869f6dd926879bab7ab129e4298e61f8280ef1e5a7f2f69a",
+    "rgg-40": "3f3275370a6a85c063ea313a83f2c6d89bc425f9ebd738d97f8229eab9e9dced",
+    "rgg-90": "41d19dcc266721f865eb1e31ede361cd7221b100ee4a2e4334948b0b038e82f9",
+    "rhgg-40": "166fed370e47193c07be4f0c629afe30fd7d4b9c3abbe6b86d801f6ca2a2e8f9",
+    "rhgg-90": "d53f3f4066b9a78f5b39fb51acb640c17a2fee1b256c117671f894d92a859e44",
+    "rhg-40": "05ecd65bcb27c1b72aa5e4ea1fe4985c880caf73418860fb4a2abb4333a792b3",
+    "rhg-90": "d64d436d0b5c7fde26c18160eabeb21198cb0ebe9b8f9dfa30d97edee61db8da",
+}
+
 GOLDEN_EDGES = {
     "p3-similarity": "7c575f13e65aaedbd8f53c4d08b1c19f84acf7e0f139ef55a790c6bf2ec9146b",
     "p3-combined": "02b1a41cfe305bf071d7e902c9b3b576b6addcb74717d0deae6a74c6680dc036",
@@ -541,6 +555,20 @@ def measure_hashes(sixnode) -> dict[str, str]:
     return out
 
 
+def measure_order_hashes(sixnode) -> dict[str, str]:
+    out = {}
+    for name, g in _graphs(sixnode):
+        values = []
+        for ddof in (0, 1):
+            fig2 = [lambda: nhc_global(g, ddof=ddof),
+                    lambda: nhc_alt_sqrtk(g, sqrt_m=False, ddof=ddof),
+                    lambda: nhc_alt_sqrtk(g, sqrt_m=True, ddof=ddof)]
+            values += [call() for call in fig2 + fig2[::-1]]
+            values.append(complexity_report(g, ddof=ddof).to_dict())
+        out[name] = _sha(repr(values).encode())
+    return out
+
+
 def edge_hashes() -> dict[str, str]:
     out = {}
     for name, g, mechanism, count, seed in _widening_cases():
@@ -560,6 +588,10 @@ def test_complexity_reports_are_golden(sixnode):
 
 def test_global_measures_are_golden(sixnode):
     assert measure_hashes(sixnode) == GOLDEN_MEASURES
+
+
+def test_measures_in_any_order_on_one_graph_are_golden(sixnode):
+    assert measure_order_hashes(sixnode) == GOLDEN_MEASURE_ORDER
 
 
 def test_widened_attachment_edges_are_golden():
@@ -609,6 +641,7 @@ if __name__ == "__main__":
         _print_dict("GOLDEN_CSV", csv_hashes(Path(tmp)))
         _print_dict("GOLDEN_REPORTS", report_hashes(six))
         _print_dict("GOLDEN_MEASURES", measure_hashes(six))
+        _print_dict("GOLDEN_MEASURE_ORDER", measure_order_hashes(six))
         _print_dict("GOLDEN_EDGES", edge_hashes())
         _print_dict("GOLDEN_CSR", csr_hashes(six, Path(tmp)))
         _print_dict("GOLDEN_LARGE", large_hashes())
