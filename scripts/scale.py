@@ -66,6 +66,24 @@ def _report(p: Point, side: str, work: Path, patch, timed):
     return g.m, timed(lambda: complexity.complexity_report(g))
 
 
+class _NoMemo(dict):
+    """Stands in for complexity's table memo and keeps nothing."""
+
+    def setdefault(self, key, default=None):
+        return default
+
+
+def _measures(p: Point, side: str, work: Path, patch, timed):
+    """fig2's three measures on er(n, p, seed 1), which share one class
+    table; the reference keeps no table, so each measure runs the kernel."""
+    if side == "ref":
+        patch(complexity, "_TABLES", _NoMemo())
+    g = generators.gen_er(p.n, p.density, 1)
+    return g.m, timed(lambda: (complexity.nhc_global(g),
+                               complexity.nhc_alt_sqrtk(g, sqrt_m=False),
+                               complexity.nhc_alt_sqrtk(g, sqrt_m=True)))
+
+
 def _theory(p: Point, side: str, work: Path, patch, timed):
     """nhc_global_approx at every point of fig3's default grid."""
     grid = experiments.RunManifest(experiment="fig3").grid
@@ -142,12 +160,15 @@ def _gen(kind: str, n: int, density: float, sigma: float = 0.3, ref: bool = True
 
 
 _FIG5_SEEDS = {"similarity": 1, "combined": 2}
-# ref=False: ranking every pair would take 5e9 pairs
+# ref=False: ranking every pair would take 5e9 pairs; repair-10000 has no
+# ref side: the numpy draw loop would take about 4 minutes and over 4 GB
 POINTS = {p.name: p for p in [
     Point("io-er-2500", _io, 2500, 0.5, sides=("write", "read")),
     Point("report-er-2500", _report, 2500, 0.5),
+    Point("measures-er-4000", _measures, 4000, 0.5, sides=("new", "ref")),
     Point("theory-fig3", _theory),
     *[Point(f"repair-{n}", _repair, n, 0.45, sides=("new", "ref")) for n in (600, 2000, 3000)],
+    Point("repair-10000", _repair, 10_000, 0.45),
     *[_gen("er", n, p) for n, p in ((20_000, 5e-4), (100_000, 1e-4), (6000, 0.5), (6000, 0.9))],
     _gen("rgg", 100_000, 1e-4, ref=False),
     _gen("rhgg", 100_000, 1e-4, ref=False),

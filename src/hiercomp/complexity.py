@@ -3,18 +3,21 @@
 For each degree k held by at least two nodes, the ascending neighbourhood
 degree sequences of those nodes form an (ell x k) matrix.  One kernel,
 :func:`class_sigmas`, yields the column standard deviations of every such
-matrix in ascending k; each measure is a reduction over it.  The
-unnormalised measure averages the column variances over k; the normalised
-variant sums column standard deviations and divides by (1 - density) *
-edge_count, which removes most of the size/density dependence.  Column
-statistics use the population convention (ddof=0) by default; pass ddof=1
-for sample-sd sensitivity checks.
+matrix in ascending k.  Every measure reads one table that reduces the
+kernel to (ell, sum of sds, sum of variances) per class; the table is built
+once per graph and ddof and kept while the graph lives, so fig2's measures
+and a report on one graph run the kernel once.  The unnormalised measure
+averages the column variances over k; the normalised variant sums column
+standard deviations and divides by (1 - density) * edge_count, which removes
+most of the size/density dependence.  Column statistics use the population
+convention (ddof=0) by default; pass ddof=1 for sample-sd sensitivity checks.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import weakref
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -55,22 +58,47 @@ def class_sigmas(g: Graph, ddof: int = 0) -> Iterator[tuple[int, int, np.ndarray
         gather = g.indptr[nodes][:, None] + np.arange(k, dtype=np.int64)[None, :]
         rows = nbr_deg[gather]
         rows.sort(axis=1)
-        yield int(k), int(nodes.size), rows.astype(np.float64).std(axis=0, ddof=ddof)
+        yield int(k), int(nodes.size), _column_sds(rows.astype(np.float64), ddof)
 
 
-def _class_sigma(g: Graph, k: int, ddof: int) -> np.ndarray:
-    for kk, _, sig in class_sigmas(g, ddof):
-        if kk == k:
-            return sig
-    raise ValueError(f"degree {k} is not held by at least two nodes")
+def _column_sds(x: np.ndarray, ddof: int) -> np.ndarray:
+    """``x.std(axis=0, ddof=ddof)`` for ddof below the row count: the ufunc
+    steps of numpy's own ``_var`` and ``_std``, in their order, so the bits
+    are the same, without the wrapper's per-call overhead."""
+    ell = x.shape[0]
+    mean = np.add.reduce(x, axis=0, keepdims=True)
+    np.true_divide(mean, ell, out=mean)
+    x = np.subtract(x, mean)
+    np.square(x, out=x)
+    sds = np.add.reduce(x, axis=0)
+    np.true_divide(sds, max(ell - ddof, 0), out=sds)
+    return np.sqrt(sds, out=sds)
+
+
+# graph -> ddof -> class table; an entry dies with its graph (Graph hashes
+# by identity and is immutable)
+_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _class_table(g: Graph, ddof: int) -> dict[int, tuple[int, float, float]]:
+    """``{k: (ell, sum of sigma, sum of sigma**2)}`` in ascending k, from one
+    pass of :func:`class_sigmas`, memoised per graph and ddof."""
+    tables = _TABLES.setdefault(g, {})
+    if ddof not in tables:
+        tables[ddof] = {k: (ell, float(sig.sum()), float(np.square(sig).sum()))
+                        for k, ell, sig in class_sigmas(g, ddof)}
+    return tables[ddof]
+
+
+def _class_row(g: Graph, k: int, ddof: int) -> tuple[int, float, float]:
+    row = _class_table(g, ddof).get(k)
+    if row is None:
+        raise ValueError(f"degree {k} is not held by at least two nodes")
+    return row
 
 
 def _mean(terms: list[float]) -> float:
     return math.fsum(terms) / len(terms) if terms else 0.0
-
-
-def _hc_term(sig: np.ndarray, k: int) -> float:
-    return float(np.square(sig).sum() / k)
 
 
 def _warn_above_one(value: float, g: Graph) -> None:
@@ -80,19 +108,19 @@ def _warn_above_one(value: float, g: Graph) -> None:
 
 def hc_k(g: Graph, k: int, ddof: int = 0) -> float:
     """Mean column variance of the degree-k NDS matrix."""
-    return _hc_term(_class_sigma(g, k, ddof), k)
+    return _class_row(g, k, ddof)[2] / k
 
 
 def hc_global(g: Graph, ddof: int = 0) -> float:
     """Average of :func:`hc_k` over the supported degrees; 0 when none."""
-    return _mean([_hc_term(sig, k) for k, _, sig in class_sigmas(g, ddof)])
+    return _mean([sq / k for k, (_, _, sq) in _class_table(g, ddof).items()])
 
 
 def nhc_k(g: Graph, k: int, ddof: int = 0) -> float:
     """Sum of degree-k column sds over (1 - density) * edge_count."""
     if g.density == 1.0:
         raise ValueError("normalisation singular: density is 1")
-    return float(_class_sigma(g, k, ddof).sum() / ((1.0 - g.density) * g.m))
+    return _class_row(g, k, ddof)[1] / ((1.0 - g.density) * g.m)
 
 
 def nhc_global(g: Graph, ddof: int = 0) -> float:
@@ -103,7 +131,7 @@ def nhc_global(g: Graph, ddof: int = 0) -> float:
     if g.density == 1.0:
         return 0.0
     norm = (1.0 - g.density) * g.m
-    value = _mean([float(sig.sum() / norm) for _, _, sig in class_sigmas(g, ddof)])
+    value = _mean([s / norm for _, s, _ in _class_table(g, ddof).values()])
     _warn_above_one(value, g)
     return value
 
@@ -118,7 +146,7 @@ def nhc_alt_sqrtk(g: Graph, sqrt_m: bool = False, ddof: int = 0) -> float:
     if g.density == 1.0:
         return 0.0
     denom = (1.0 - g.density) * (math.sqrt(g.m) if sqrt_m else g.m)
-    terms = [float(sig.sum()) / (math.sqrt(k) * denom) for k, _, sig in class_sigmas(g, ddof)]
+    terms = [s / (math.sqrt(k) * denom) for k, (_, s, _) in _class_table(g, ddof).items()]
     return _mean(terms)
 
 
@@ -160,8 +188,8 @@ def complexity_report(g: Graph, ddof: int = 0) -> ComplexityReport:
     complete = g.density == 1.0
     norm = (1.0 - g.density) * g.m
     per: dict[int, tuple[float, float, int]] = {}
-    for k, ell, sig in class_sigmas(g, ddof):
-        per[k] = (_hc_term(sig, k), 0.0 if complete else float(sig.sum() / norm), ell)
+    for k, (ell, s, sq) in _class_table(g, ddof).items():
+        per[k] = (sq / k, 0.0 if complete else s / norm, ell)
     nhc = 0.0 if complete else _mean([nk for _, nk, _ in per.values()])
     _warn_above_one(nhc, g)
     return ComplexityReport(

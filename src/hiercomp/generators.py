@@ -32,7 +32,9 @@ from __future__ import annotations
 
 import logging
 import math
+from array import array
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -375,9 +377,13 @@ def gen_config(degree_sequence, seed: int) -> Graph:
     The repair is sequential, but each round finds its bad edges with one
     sort, and each attempt's partner index and flip are replayed from the
     generator's raw words, so the edge set is the one that drawing every
-    number through ``rng.integers`` and ``rng.random`` gives.  Each pairing
-    logs one DEBUG record ``repair n=… m=… bad=… rounds=… attempts=…`` on
-    the ``hiercomp.generators`` logger (for the complement when paired there).
+    number through ``rng.integers`` and ``rng.random`` gives.  The edges are
+    held as machine words, and the copies of each pair in one of two stores
+    that give the same edge set: n*n bytes indexed by pair code while n*n is
+    at most 64 bytes per edge, or else a dict keyed by code (also when a pair
+    has more than 255 copies).  Each pairing logs one DEBUG record
+    ``repair n=… m=… bad=… rounds=… attempts=… held=bytes|dict`` on the
+    ``hiercomp.generators`` logger (for the complement when paired there).
     """
     deg = np.asarray(list(degree_sequence), dtype=np.int64)
     n = deg.size
@@ -419,62 +425,65 @@ def _repair_gave_up(m: int) -> str:
 _RAW_BLOCK = 1 << 14  # raw words fetched from the bit generator at a time
 
 
-class _Pcg64Replay:
-    """``rng.integers(m)`` and ``rng.random() < 0.5`` of a PCG64 generator,
-    replayed from its raw 64-bit words in plain integer arithmetic.
+def _attempt_draws(rng: np.random.Generator, m: int):
+    """The draws of repair attempts, replayed from a PCG64 generator's raw
+    64-bit words in plain integer arithmetic.
+
+    A generator: prime it with ``next`` (the guards raise there), then send
+    each attempt's bad-edge index.  It yields ``(j, flip)``, the partner
+    ``rng.integers(m)`` and ``rng.random() < 0.5``, and draws no coin when
+    j is the index sent (flip is then False).
 
     For m < 2**32 numpy draws ``integers(m)`` with Lemire's 32-bit method
     (ACM TOMACS 29(1), 2019) on PCG64's ``next_uint32``, which returns the
-    low half of a fresh word and keeps the high half for its next call.
-    ``random()`` is ``(word >> 11) * 2**-53``: below 0.5 exactly when the
-    word's top bit is clear, and it leaves the spare half alone.  The
-    replayer reads the spare half once and then takes words in blocks, so
-    the generator itself runs ahead of the draws replayed.
+    low half of a fresh word and keeps the high half for its next call; it
+    draws nothing at m = 1.  ``random()`` is ``(word >> 11) * 2**-53``:
+    below 0.5 exactly when the word's top bit is clear, and it leaves the
+    spare half alone.  The spare half is read once; words are then taken in
+    blocks, so the generator itself runs ahead of the draws replayed.
     """
-
-    def __init__(self, rng: np.random.Generator, m: int) -> None:
-        bit_generator = rng.bit_generator
-        state = bit_generator.state
-        if state["bit_generator"] != "PCG64":
-            raise ValueError(f"can replay PCG64 only, not {state['bit_generator']}")
-        if not 1 <= m < 1 << 32:
-            raise ValueError(f"can replay integers(m) for 1 <= m < 2**32 only, not m={m}")
-        self.m = m
-        self.threshold = ((1 << 32) - m) % m  # Lemire rejects a low product below this
-        self.spare = state["uinteger"] if state["has_uint32"] else None
-        self.word = self._words(bit_generator).__next__
-
-    @staticmethod
-    def _words(bit_generator):
-        while True:
-            yield from bit_generator.random_raw(_RAW_BLOCK).tolist()
-
-    def index(self) -> int:
-        """``rng.integers(m)``; it draws nothing at m = 1."""
-        m = self.m
-        if m == 1:
-            return 0
-        while True:
-            if self.spare is None:
-                word = self.word()
-                x, self.spare = word & 0xFFFFFFFF, word >> 32
+    bit_generator = rng.bit_generator
+    state = bit_generator.state
+    if state["bit_generator"] != "PCG64":
+        raise ValueError(f"can replay PCG64 only, not {state['bit_generator']}")
+    if not 1 <= m < 1 << 32:
+        raise ValueError(f"can replay integers(m) for 1 <= m < 2**32 only, not m={m}")
+    threshold = ((1 << 32) - m) % m  # Lemire rejects a low product below this
+    spare = state["uinteger"] if state["has_uint32"] else None
+    word = chain.from_iterable(
+        iter(lambda: bit_generator.random_raw(_RAW_BLOCK).tolist(), None)).__next__
+    idx = yield
+    j = 0
+    while True:
+        while m > 1:
+            if spare is None:
+                x = word()
+                spare = x >> 32
+                x &= 0xFFFFFFFF
             else:
-                x, self.spare = self.spare, None
-            product = x * m
-            if product & 0xFFFFFFFF >= self.threshold:
-                return product >> 32
-
-    def coin(self) -> bool:
-        """``rng.random() < 0.5``."""
-        return self.word() < 1 << 63
+                x = spare
+                spare = None
+            x *= m
+            if x & 0xFFFFFFFF >= threshold:
+                j = x >> 32
+                break
+        idx = yield (j, False) if j == idx else (j, word() < 1 << 63)
 
 
 def _bad_edges(codes: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Ascending indices of self-loops (u*n + u = u*(n+1)) and of every copy
-    of a repeated pair; and the codes of every copy after a pair's first."""
+    of a repeated pair; and the codes sorted."""
     s = np.sort(codes)
     further = s[1:][s[1:] == s[:-1]]
-    return np.flatnonzero((codes % (n + 1) == 0) | np.isin(codes, further)), further
+    return np.flatnonzero((codes % (n + 1) == 0) | np.isin(codes, further)), s
+
+
+# The repair counts pair copies in n*n bytes indexed by code while that is at
+# most this many bytes per edge, and in a dict keyed by code on sparser
+# graphs.  At or below it the expected copies of any pair, d_u*d_v / 2m, are
+# at most n*n / 2m <= 32, so a count past a byte's 255 is all but impossible
+# there; such a count still takes the dict.
+_BYTES_PER_EDGE = 64
 
 
 def _pair_and_repair(deg: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -484,7 +493,9 @@ def _pair_and_repair(deg: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     them in index order: a bad edge (a, b) swaps with a uniform partner
     (c, d), flipped with probability 1/2, into (a, c) and (b, d) when both
     are new distinct pairs.  Every draw is the one ``rng.integers(m)`` or
-    ``rng.random() < 0.5`` would make (see :class:`_Pcg64Replay`).
+    ``rng.random() < 0.5`` would make (see :func:`_attempt_draws`).  The
+    copies of each pair are counted in bytes or in a dict (see
+    ``_BYTES_PER_EDGE``); both answer the same lookups.
     """
     n = deg.size
     stubs = np.repeat(np.arange(n, dtype=np.int64), deg)
@@ -492,17 +503,28 @@ def _pair_and_repair(deg: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     half = stubs.reshape(-1, 2)
     codes = half.min(axis=1) * n + half.max(axis=1)
     m = codes.size
-    bad, further = _bad_edges(codes, n)
+    bad, ordered = _bad_edges(codes, n)
+    firsts = np.flatnonzero(np.diff(ordered, prepend=-1))  # first copy of each pair
+    copies = np.diff(firsts, append=m)
+    in_bytes = n * n <= _BYTES_PER_EDGE * m and copies.max(initial=0) <= 255
     first_bad, rounds, attempts = bad.size, 0, 0
     try:
         if not bad.size:
-            return np.sort(codes)
-        edges: list[int] = codes.tolist()
-        count = dict.fromkeys(edges, 1)
-        for code in further.tolist():
-            count[code] += 1
-        replay = _Pcg64Replay(rng, m)
-        index, coin, held = replay.index, replay.coin, count.get
+            return ordered
+        edges = array("q", codes.tobytes())
+        if in_bytes:
+            count = bytearray(n * n)
+            np.frombuffer(count, np.uint8)[ordered[firsts]] = copies
+            held = count.__getitem__
+        else:
+            count = dict.fromkeys(codes.tolist(), 1)
+            many = copies > 1
+            count.update(zip(ordered[firsts[many]].tolist(), copies[many].tolist()))
+            held = count.get
+        del ordered, firsts, copies
+        draws = _attempt_draws(rng, m)
+        next(draws)
+        send = draws.send
         max_attempts = 100 * m
         while bad.size:
             rounds += 1
@@ -515,11 +537,12 @@ def _pair_and_repair(deg: np.ndarray, rng: np.random.Generator) -> np.ndarray:
                     if attempts >= max_attempts:
                         raise ValueError(_repair_gave_up(m))
                     attempts += 1
-                    j = index()
+                    j, flip = send(idx)
                     if j == idx:
                         continue
-                    c, d = divmod(edges[j], n)
-                    if coin():
+                    other = edges[j]
+                    c, d = divmod(other, n)
+                    if flip:
                         c, d = d, c
                     if a == c or b == d:
                         continue
@@ -528,7 +551,7 @@ def _pair_and_repair(deg: np.ndarray, rng: np.random.Generator) -> np.ndarray:
                     if q1 == q2 or held(q1) or held(q2):
                         continue
                     count[code] -= 1
-                    count[edges[j]] -= 1
+                    count[other] -= 1
                     count[q1] = count[q2] = 1
                     edges[idx] = q1
                     edges[j] = q2
@@ -537,8 +560,8 @@ def _pair_and_repair(deg: np.ndarray, rng: np.random.Generator) -> np.ndarray:
             bad, _ = _bad_edges(codes, n)
         return np.sort(codes)
     finally:
-        log.debug("repair n=%d m=%d bad=%d rounds=%d attempts=%d",
-                  n, m, first_bad, rounds, attempts)
+        log.debug("repair n=%d m=%d bad=%d rounds=%d attempts=%d held=%s",
+                  n, m, first_bad, rounds, attempts, "bytes" if in_bytes else "dict")
 
 
 def generate(spec: ModelSpec) -> Graph:

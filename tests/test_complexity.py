@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import dataclasses
+import gc
+import itertools
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -10,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
+from hiercomp import complexity
 from hiercomp.complexity import (
     class_sigmas,
     complexity_report,
@@ -19,7 +24,7 @@ from hiercomp.complexity import (
     nhc_global,
     nhc_k,
 )
-from hiercomp.generators import gen_er
+from hiercomp.generators import gen_er, gen_rhgg
 from hiercomp.graph import build_graph
 
 SIX_EDGES = [(0, 1), (1, 2), (2, 3), (1, 3), (3, 4), (4, 5)]
@@ -119,10 +124,74 @@ def test_empty_graph_measures_are_zero():
 
 def test_degree_class_guards():
     g = build_graph(SIX_EDGES)
-    with pytest.raises(ValueError, match="not held by at least two nodes"):
-        hc_k(g, 4)
-    with pytest.raises(ValueError, match="not held by at least two nodes"):
-        nhc_k(g, 0)
+    for _ in range(2):  # before and after the class table is built
+        with pytest.raises(ValueError, match="not held by at least two nodes"):
+            hc_k(g, 4)
+        with pytest.raises(ValueError, match="not held by at least two nodes"):
+            nhc_k(g, 0)
+        complexity_report(g)
+
+
+@pytest.mark.parametrize("shape", [(2, 1), (2, 7), (3, 40), (57, 12), (400, 3)])
+@pytest.mark.parametrize("ddof", [0, 1])
+def test_column_sds_are_numpys_std_to_the_bit(shape, ddof):
+    rows = np.random.default_rng(shape[0]).integers(1, 300, size=shape)
+    rows.sort(axis=1)
+    x = rows.astype(np.float64)
+    expected = x.std(axis=0, ddof=ddof)
+    assert complexity._column_sds(x.copy(), ddof).tobytes() == expected.tobytes()
+
+
+MEMO_GRAPH = gen_rhgg(300, 0.05, seed=31, lognormal_sigma=0.5)
+
+
+def _measures(g, ddof):
+    ks = [k for k, _, _ in class_sigmas(g)]
+    return {
+        "nhc": lambda: nhc_global(g, ddof=ddof),
+        "sqrtk": lambda: nhc_alt_sqrtk(g, sqrt_m=False, ddof=ddof),
+        "sqrtk-sqrtm": lambda: nhc_alt_sqrtk(g, sqrt_m=True, ddof=ddof),
+        "hc": lambda: hc_global(g, ddof=ddof),
+        "per-k": lambda: [(hc_k(g, k, ddof), nhc_k(g, k, ddof)) for k in ks],
+        "report": lambda: complexity_report(g, ddof=ddof).to_dict(),
+    }
+
+
+@pytest.mark.parametrize("ddof", [0, 1])
+def test_measures_in_any_order_give_the_values_of_a_fresh_graph(ddof):
+    # a fresh Graph object over the same arrays starts with no class table
+    fresh = {name: _measures(dataclasses.replace(MEMO_GRAPH), ddof)[name]()
+             for name in _measures(MEMO_GRAPH, ddof)}
+    for order in itertools.islice(itertools.permutations(fresh), 0, None, 37):
+        g = dataclasses.replace(MEMO_GRAPH)
+        calls = _measures(g, ddof)
+        assert {name: calls[name]() for name in order} == fresh, order
+
+
+def test_ddof_zero_and_one_keep_separate_tables():
+    g = dataclasses.replace(MEMO_GRAPH)
+    population = nhc_global(g)
+    assert list(complexity._TABLES[g]) == [0]
+    sample = nhc_global(g, ddof=1)
+    assert list(complexity._TABLES[g]) == [0, 1]
+    assert sample != population
+    assert (population, sample) == (nhc_global(dataclasses.replace(g)),
+                                    nhc_global(dataclasses.replace(g), ddof=1))
+    assert complexity._TABLES[g][0] != complexity._TABLES[g][1]
+
+
+def test_class_table_dies_with_its_graph():
+    gc.collect()
+    before = len(complexity._TABLES)
+    g = dataclasses.replace(MEMO_GRAPH)
+    nhc_global(g)
+    complexity_report(g, ddof=1)
+    assert len(complexity._TABLES) == before + 1
+    ref = weakref.ref(g)
+    del g
+    gc.collect()
+    assert ref() is None
+    assert len(complexity._TABLES) == before
 
 
 def test_sample_variance_convention_switch():

@@ -371,21 +371,25 @@ def _warmed(seed: int, warmup: int) -> np.random.Generator:
     return rng
 
 
-def _assert_replays(m, seed, warmup, script):
-    replay = generators._Pcg64Replay(_warmed(seed, warmup), m)
-    ref = _warmed(seed, warmup)
-    for draw_index in script:
-        if draw_index:
-            assert replay.index() == int(ref.integers(m))
+def _assert_replays(mine, ref, m, script):
+    """Each entry of script sends the partner index that ref is about to
+    draw (True), so no coin may be drawn, or another index (False)."""
+    draws = generators._attempt_draws(mine, m)
+    next(draws)
+    for hit in script:
+        j = int(ref.integers(m))
+        idx = j if hit else (j + 1) % m  # m = 1 always hits
+        if idx == j:
+            assert draws.send(idx) == (j, False)
         else:
-            assert replay.coin() == (ref.random() < 0.5)
+            assert draws.send(idx) == (j, ref.random() < 0.5)
 
 
 @given(st.sampled_from(_REPLAY_M), st.integers(0, 2**64 - 1), st.integers(0, 3),
        st.lists(st.booleans(), max_size=200))
 @settings(max_examples=200, deadline=None)
 def test_replay_matches_numpy_integers_and_coin(m, seed, warmup, script):
-    _assert_replays(m, seed, warmup, script)
+    _assert_replays(_warmed(seed, warmup), _warmed(seed, warmup), m, script)
 
 
 def test_replay_at_lemire_rejection_boundaries():
@@ -393,29 +397,29 @@ def test_replay_at_lemire_rejection_boundaries():
     # for m = 2**31 + 1 and m = 2**32 - 1, where numpy accepts it
     for m in _REPLAY_M:
         for spare in (0, 1, 2**31 - 1, 2**31, 2**32 - 1):
-            mine, ref = (np.random.default_rng(m) for _ in range(2))
-            for rng in (mine, ref):
-                rng.bit_generator.state = {**rng.bit_generator.state,
-                                           "has_uint32": 1, "uinteger": spare}
-            replay = generators._Pcg64Replay(mine, m)
-            assert [replay.index() for _ in range(3)] == [int(ref.integers(m)) for _ in range(3)]
+            for script in ([False] * 3, [True] * 3):
+                mine, ref = (np.random.default_rng(m) for _ in range(2))
+                for rng in (mine, ref):
+                    rng.bit_generator.state = {**rng.bit_generator.state,
+                                               "has_uint32": 1, "uinteger": spare}
+                _assert_replays(mine, ref, m, script)
 
 
 def test_replay_crosses_word_blocks():
     rng = np.random.default_rng(4)
-    script = (rng.random(3 * generators._RAW_BLOCK) < 0.7).tolist()
+    script = (rng.random(3 * generators._RAW_BLOCK) < 0.3).tolist()
     for warmup in (0, 1):
-        _assert_replays(2**31 + 1, 11, warmup, script)
+        _assert_replays(_warmed(11, warmup), _warmed(11, warmup), 2**31 + 1, script)
 
 
 def test_replay_guards():
     with pytest.raises(ValueError, match="2\\*\\*32"):
-        generators._Pcg64Replay(np.random.default_rng(0), 2**32)
+        next(generators._attempt_draws(np.random.default_rng(0), 2**32))
     with pytest.raises(ValueError, match="m=0"):
-        generators._Pcg64Replay(np.random.default_rng(0), 0)
+        next(generators._attempt_draws(np.random.default_rng(0), 0))
     for bit_generator in (np.random.MT19937(0), np.random.PCG64DXSM(0)):
         with pytest.raises(ValueError, match="PCG64 only"):
-            generators._Pcg64Replay(np.random.Generator(bit_generator), 5)
+            next(generators._attempt_draws(np.random.Generator(bit_generator), 5))
 
 
 def _repair_records(caplog, degs, seed):
@@ -428,20 +432,54 @@ def _repair_records(caplog, degs, seed):
     return [r.getMessage() for r in caplog.records if r.name == "hiercomp.generators"]
 
 
-def test_config_logs_one_repair_record(caplog):
+# two hubs joined to every other node: their pair is paired about 300 times
+TWO_HUBS = [1199, 1199] + [2] * 1198
+
+
+def test_config_logs_one_repair_record(caplog, monkeypatch):
     degs = gen_rhgg(200, 0.05, seed=17).degrees
     (message,) = _repair_records(caplog, degs, 2)
-    match = re.fullmatch(r"repair n=(\d+) m=(\d+) bad=(\d+) rounds=(\d+) attempts=(\d+)",
-                         message)
+    match = re.fullmatch(
+        r"repair n=(\d+) m=(\d+) bad=(\d+) rounds=(\d+) attempts=(\d+) held=bytes", message)
     n, m, bad, rounds, attempts = map(int, match.groups())
     assert (n, m) == (200, degs.sum() // 2)
     assert bad > 0 and attempts >= rounds >= 1
+    # sparse: n*n bytes would be more than 64 per edge
+    (message,) = _repair_records(caplog, gen_rhgg(400, 0.01, seed=17).degrees, 2)
+    assert message.startswith("repair n=400 m=798 bad=") and message.endswith(" held=dict")
     assert _repair_records(caplog, [1, 1, 1, 1, 1, 1, 2, 2, 8], 3) == [
-        "repair n=9 m=9 bad=2 rounds=1 attempts=900"]
-    assert _repair_records(caplog, [0, 0, 0], 0) == ["repair n=3 m=0 bad=0 rounds=0 attempts=0"]
+        "repair n=9 m=9 bad=2 rounds=1 attempts=900 held=bytes"]
+    assert _repair_records(caplog, [0, 0, 0], 0) == [
+        "repair n=3 m=0 bad=0 rounds=0 attempts=0 held=dict"]
     # a triangle is paired as its empty complement
-    assert _repair_records(caplog, [2, 2, 2], 0) == ["repair n=3 m=0 bad=0 rounds=0 attempts=0"]
+    assert _repair_records(caplog, [2, 2, 2], 0) == [
+        "repair n=3 m=0 bad=0 rounds=0 attempts=0 held=dict"]
     assert _repair_records(caplog, [3, 1, 1], 0) == []  # rejected before any pairing
+    # n*n bytes would do, but a pair's 256th copy does not fit in one
+    monkeypatch.setattr(generators, "_BYTES_PER_EDGE", 10**9)
+    (message,) = _repair_records(caplog, TWO_HUBS, 0)
+    assert message.startswith("repair n=1200 m=2397 ") and message.endswith(" held=dict")
+    stubs = np.repeat(np.arange(1200), TWO_HUBS)
+    np.random.default_rng(0).shuffle(stubs)
+    assert (np.sort(stubs.reshape(-1, 2), axis=1) == [0, 1]).all(axis=1).sum() > 255
+
+
+@pytest.mark.parametrize("degs", [
+    gen_rhgg(300, 0.3, seed=21, lognormal_sigma=0.4).degrees,
+    gen_er(300, 0.2, seed=22).degrees,
+    gen_rhgg(300, 0.01, seed=23).degrees,
+], ids=["rhgg", "er", "rhgg-sparse"])
+def test_config_repair_is_the_same_in_bytes_and_in_a_dict(degs, monkeypatch, caplog):
+    outcomes = {}
+    for ratio in (0, 10**9):  # every graph in a dict; in bytes wherever the copies fit
+        monkeypatch.setattr(generators, "_BYTES_PER_EDGE", ratio)
+        (message,) = _repair_records(caplog, degs, 4)
+        outcomes[message.rsplit("=", 1)[1]] = _config_outcome(degs, 4)
+    with mock.patch.object(generators, "_pair_and_repair", oracle.pair_and_repair_naive):
+        naive = _config_outcome(degs, 4)
+    assert set(outcomes) == {"dict", "bytes"}
+    assert outcomes["dict"] == outcomes["bytes"] == naive
+    assert not isinstance(naive, str)
 
 
 def test_config_zero_sequence():

@@ -13,6 +13,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "scripts"))  # also seen by the runner's spawned children
 import scale  # noqa: E402
+from hiercomp import complexity  # noqa: E402
 
 SMALL_N = 600
 
@@ -46,3 +47,16 @@ def test_partial_run_prints_records_and_writes_no_file(capsys):
     assert lines[1] == "theory-fig3: not compared"
     assert set(ROOT.glob("BENCH_*.json")) == before
     assert scale.main(["no-such-point"]) == 2
+
+
+def test_measures_reference_side_runs_the_kernel_per_measure(tmp_path, monkeypatch):
+    small = dataclasses.replace(scale.POINTS["measures-er-4000"], n=300)
+    passes = []
+    kernel = complexity.class_sigmas
+    monkeypatch.setattr(complexity, "class_sigmas",
+                        lambda g, ddof=0: passes.append(ddof) or kernel(g, ddof))
+    for side, count in (("new", 1), ("ref", 3)):
+        passes.clear()
+        with monkeypatch.context() as mp:
+            scale.measure(small, side, tmp_path, mp.setattr)
+        assert len(passes) == count, side
