@@ -84,6 +84,18 @@ def _measures(p: Point, side: str, work: Path, patch, timed):
                                complexity.nhc_alt_sqrtk(g, sqrt_m=True)))
 
 
+def _tables(p: Point, side: str, work: Path, patch, timed):
+    """The class tables of 20 rhgg(n, d) graphs, fig5's base size, against
+    the per-class ``rows.std`` of the naive oracle."""
+    graphs = [generators.gen_rhgg(p.n, p.density, seed=s) for s in range(20)]
+    if side == "ref":
+        edges = [g.edge_array().tolist() for g in graphs]
+        tables = timed(lambda: [oracle.class_table_naive(p.n, e) for e in edges])
+    else:
+        tables = timed(lambda: [complexity._class_table(g, 0) for g in graphs])
+    return sum(g.m for g in graphs), tables
+
+
 def _theory(p: Point, side: str, work: Path, patch, timed):
     """nhc_global_approx at every point of fig3's default grid."""
     grid = experiments.RunManifest(experiment="fig3").grid
@@ -105,8 +117,7 @@ def _generate(p: Point, side: str, work: Path, patch, timed):
     stream, so not compared); gen_rgg/gen_rhgg by k-d tree against ranking
     every pair."""
     if side == "ref" and p.kind != "er":
-        patch(generators, "_geometric_top_m", lambda pts, m, s: graph.from_codes(
-            pts.shape[0], oracle.geometric_top_m_naive(pts, m, s)))
+        patch(generators, "_geometric_top_m", oracle.geometric_top_m_naive)
     g = timed({
         "er": lambda: (generators.gen_er(p.n, p.density, seed=1) if side == "new"
                        else graph.from_codes(p.n, oracle.er_rowwise(p.n, p.density, 1))),
@@ -166,6 +177,7 @@ POINTS = {p.name: p for p in [
     Point("io-er-2500", _io, 2500, 0.5, sides=("write", "read")),
     Point("report-er-2500", _report, 2500, 0.5),
     Point("measures-er-4000", _measures, 4000, 0.5, sides=("new", "ref")),
+    Point("measures-rhgg-1000", _tables, 1000, 0.01, sides=("new", "ref")),
     Point("theory-fig3", _theory),
     *[Point(f"repair-{n}", _repair, n, 0.45, sides=("new", "ref")) for n in (600, 2000, 3000)],
     Point("repair-10000", _repair, 10_000, 0.45),

@@ -142,11 +142,17 @@ class _SharedPairs:
         if mechanism == "combined":
             return counts
         # codes ascend, so each pair's lower end u comes in runs: deg[u] and
-        # u * n by np.repeat, with no division and no index array kept
+        # u * n by np.repeat, with no division; at most two pair-sized
+        # temporaries are alive at once
         runs = np.diff(np.searchsorted(codes, np.arange(g.n + 1) * g.n))
-        deg_sum = np.repeat(g.degrees, runs)
-        deg_sum += g.degrees[codes - np.repeat(np.arange(g.n) * g.n, runs)]
-        return counts / (deg_sum - counts)
+        hi = np.repeat(np.arange(g.n) * g.n, runs)
+        np.subtract(codes, hi, out=hi)
+        deg_sum = g.degrees[hi]
+        del hi
+        deg_sum += np.repeat(g.degrees, runs)
+        union = np.subtract(deg_sum, counts)
+        del deg_sum
+        return np.divide(counts, union, out=union)
 
     def grow(self, g: Graph, h: Graph) -> None:
         """Update the pairs of g to those of h, g plus some new edges D:

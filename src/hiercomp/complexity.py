@@ -1,16 +1,19 @@
 """Degree-class neighbourhood-variability measures.
 
 For each degree k held by at least two nodes, the ascending neighbourhood
-degree sequences of those nodes form an (ell x k) matrix.  One kernel,
-:func:`class_sigmas`, yields the column standard deviations of every such
-matrix in ascending k.  Every measure reads one table that reduces the
-kernel to (ell, sum of sds, sum of variances) per class; the table is built
-once per graph and ddof and kept while the graph lives, so fig2's measures
-and a report on one graph run the kernel once.  The unnormalised measure
-averages the column variances over k; the normalised variant sums column
-standard deviations and divides by (1 - density) * edge_count, which removes
-most of the size/density dependence.  Column statistics use the population
-convention (ddof=0) by default; pass ddof=1 for sample-sd sensitivity checks.
+degree sequences of those nodes form an (ell x k) matrix.  One kernel
+computes the column standard deviations of every such matrix into one array,
+class after class in ascending k, with numpy's own ``std`` steps, so the
+bits are those of ``rows.std(axis=0)``; :func:`class_sigmas` yields each
+class's slice of it.  Every measure reads one table that reduces that array
+to (ell, sum of sds, sum of variances) per class by two reduceats; the table
+is built once per graph and ddof and kept while the graph lives, so fig2's
+measures and a report on one graph run the kernel once.  The unnormalised
+measure averages the column variances over k; the normalised variant sums
+column standard deviations and divides by (1 - density) * edge_count, which
+removes most of the size/density dependence.  Column statistics use the
+population convention (ddof=0) by default; pass ddof=1 for sample-sd
+sensitivity checks.
 """
 
 from __future__ import annotations
@@ -44,35 +47,53 @@ def class_sigmas(g: Graph, ddof: int = 0) -> Iterator[tuple[int, int, np.ndarray
 
     The classes are the degrees k >= 1 held by at least two nodes.  ``sigma``
     holds the k column standard deviations of the class's NDS matrix: one row
-    per degree-k node (ascending id), its neighbour degrees ascending.
+    per degree-k node (ascending id), its neighbour degrees ascending.  The
+    sigmas are views of one array that :func:`_class_columns` fills.
+    """
+    ks, ells, cols, starts = _class_columns(g, ddof)
+    for k, ell, at in zip(ks.tolist(), ells.tolist(), starts.tolist()):
+        yield k, ell, cols[at + 1:at + 1 + k]
+
+
+def _class_columns(g: Graph, ddof: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The kernel: each class's k, size ell and k column sds, the sds of all
+    classes in one array ``cols``, where class i's follow a 0.0 at
+    ``starts[i]`` (so that a reduceat over a class sums as ``sigma.sum()``).
+
+    Per class, one row gather from the float neighbour degrees, a row sort,
+    and :func:`_centred_squares` into the class's slice of ``cols``; then one
+    division by max(ell - ddof, 0) and one sqrt over every column.  These are
+    the ufunc steps of numpy's ``std(axis=0, ddof=ddof)``, in its order, so
+    the bits are the same.
     """
     ks = degree_support_d2(g)
-    if ks.size == 0:
-        return
-    nbr_deg = g.degrees[g.indices]
     order = np.argsort(g.degrees, kind="stable")  # stable: ids ascend inside a class
     sorted_deg = g.degrees[order]
-    bounds = np.searchsorted(sorted_deg, np.arange(sorted_deg[-1] + 2))
-    for k in ks:
-        nodes = order[bounds[k] : bounds[k + 1]]
-        gather = g.indptr[nodes][:, None] + np.arange(k, dtype=np.int64)[None, :]
-        rows = nbr_deg[gather]
+    firsts = np.searchsorted(sorted_deg, ks)
+    ells = np.searchsorted(sorted_deg, ks, side="right") - firsts
+    starts = np.cumsum(ks + 1) - (ks + 1)
+    cols = np.zeros(int(ks.sum()) + ks.size)
+    nbr_deg = g.degrees.astype(np.float64)[g.indices]
+    row_starts = g.indptr[order]
+    for k, first, ell, at in zip(ks.tolist(), firsts.tolist(), ells.tolist(), starts.tolist()):
+        rows = nbr_deg[row_starts[first:first + ell, None] + np.arange(k)]
         rows.sort(axis=1)
-        yield int(k), int(nodes.size), _column_sds(rows.astype(np.float64), ddof)
+        _centred_squares(rows, cols[at + 1:at + 1 + k])
+    denom = np.repeat(np.maximum(ells - ddof, 0).astype(np.float64), ks + 1)
+    denom[starts] = 1.0  # keeps each leading 0.0
+    np.true_divide(cols, denom, out=cols)
+    np.sqrt(cols, out=cols)
+    return ks, ells, cols, starts
 
 
-def _column_sds(x: np.ndarray, ddof: int) -> np.ndarray:
-    """``x.std(axis=0, ddof=ddof)`` for ddof below the row count: the ufunc
-    steps of numpy's own ``_var`` and ``_std``, in their order, so the bits
-    are the same, without the wrapper's per-call overhead."""
-    ell = x.shape[0]
-    mean = np.add.reduce(x, axis=0, keepdims=True)
-    np.true_divide(mean, ell, out=mean)
-    x = np.subtract(x, mean)
-    np.square(x, out=x)
-    sds = np.add.reduce(x, axis=0)
-    np.true_divide(sds, max(ell - ddof, 0), out=sds)
-    return np.sqrt(sds, out=sds)
+def _centred_squares(rows: np.ndarray, out: np.ndarray) -> None:
+    """Sum each column's squared deviations from its mean into ``out``, the
+    steps of numpy's ``_var`` before its division; ``rows`` is overwritten."""
+    mean = np.add.reduce(rows, axis=0, keepdims=True)
+    np.true_divide(mean, rows.shape[0], out=mean)
+    np.subtract(rows, mean, out=rows)
+    np.square(rows, out=rows)
+    np.add.reduce(rows, axis=0, out=out)
 
 
 # graph -> ddof -> class table; an entry dies with its graph (Graph hashes
@@ -82,11 +103,18 @@ _TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 def _class_table(g: Graph, ddof: int) -> dict[int, tuple[int, float, float]]:
     """``{k: (ell, sum of sigma, sum of sigma**2)}`` in ascending k, from one
-    pass of :func:`class_sigmas`, memoised per graph and ddof."""
+    pass of the kernel, memoised per graph and ddof.  The sums are reduceats
+    over ``cols``; each class's leading 0.0 makes them the bits of
+    ``sigma.sum()`` and ``np.square(sigma).sum()``."""
     tables = _TABLES.setdefault(g, {})
     if ddof not in tables:
-        tables[ddof] = {k: (ell, float(sig.sum()), float(np.square(sig).sum()))
-                        for k, ell, sig in class_sigmas(g, ddof)}
+        ks, ells, cols, starts = _class_columns(g, ddof)
+        if ks.size:
+            sums = np.add.reduceat(cols, starts).tolist()
+            squares = np.add.reduceat(np.square(cols), starts).tolist()
+        else:
+            sums = squares = []
+        tables[ddof] = dict(zip(ks.tolist(), zip(ells.tolist(), sums, squares)))
     return tables[ddof]
 
 

@@ -26,6 +26,13 @@ queries, one per pair of log-strength buckets, collect every pair that can
 reach it, and one exact top-m cut over those pairs gives the edge set that
 ranking every pair would give.  Work and memory follow the number of
 candidate pairs, about m, not n^2.
+
+rhg's swap repair is a sequential Python loop, one attempt at a time, but it
+draws no number itself: numpy decodes each run of attempts' partner indices
+and coins from the generator's raw 64-bit words (Lemire's bounded integers),
+so the loop only indexes a list and the edge set is the one that drawing
+every number through numpy gives.  rhg keeps only its rhgg base's degrees,
+so the base graph is never built.
 """
 
 from __future__ import annotations
@@ -34,7 +41,6 @@ import logging
 import math
 from array import array
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -290,8 +296,9 @@ def _candidates(pts, strengths, groups, trees, floor: float) -> tuple[np.ndarray
     return np.concatenate(codes), np.concatenate(weights)
 
 
-def _geometric_top_m(pts: np.ndarray, m: int, strengths: np.ndarray | None) -> Graph:
-    """The m heaviest pairs by inverse-distance weight, without an all-pairs scan.
+def _geometric_top_m(pts: np.ndarray, m: int, strengths: np.ndarray | None) -> np.ndarray:
+    """Codes of the m heaviest pairs by inverse-distance weight, in no
+    particular order, without an all-pairs scan.
 
     A weight floor is sized from a sample of pairs and lowered until at least
     m pairs reach it; k-d tree radius queries (Bentley, CACM 18(9), 1975)
@@ -302,7 +309,7 @@ def _geometric_top_m(pts: np.ndarray, m: int, strengths: np.ndarray | None) -> G
 
     n, dims = pts.shape
     if m == 0:
-        return from_codes(n, np.empty(0, np.int64))
+        return np.empty(0, np.int64)
     groups = _strength_groups(n, strengths)
     trees = [cKDTree(pts[g]) for g, _ in groups]
     floor = _weight_floor(pts, m, strengths)
@@ -312,9 +319,7 @@ def _geometric_top_m(pts: np.ndarray, m: int, strengths: np.ndarray | None) -> G
             break
         # weights scale as 1/radius and pair counts as radius**dims
         floor *= ((codes.size + 1) / (2 * m)) ** (1.0 / dims)
-    kept = np.sort(_keep_top(w, codes, m)[1])
-    del codes, w
-    return from_codes(n, kept)
+    return _keep_top(w, codes, m)[1]
 
 
 def _pair_target(n: int, density: float) -> int:
@@ -335,7 +340,7 @@ def gen_rgg(n: int, density: float, seed: int, dims: int = 3) -> Graph:
     _check_geometric(n, density, dims)
     rng = np.random.default_rng(seed)
     pts = _distinct_points(n, dims, rng)
-    return _geometric_top_m(pts, _pair_target(n, density), None)
+    return from_codes(n, np.sort(_geometric_top_m(pts, _pair_target(n, density), None)))
 
 
 def gen_rhgg(
@@ -351,6 +356,13 @@ def gen_rhgg(
     Coordinates are drawn before strengths, so at sigma=0 the edge set
     coincides with :func:`gen_rgg` for the same seed.
     """
+    return from_codes(n, np.sort(
+        _rhgg_pairs(n, density, seed, dims, lognormal_mu, lognormal_sigma)))
+
+
+def _rhgg_pairs(n: int, density: float, seed: int, dims: int, lognormal_mu: float,
+                lognormal_sigma: float) -> np.ndarray:
+    """The codes of :func:`gen_rhgg`'s edges, in no particular order."""
     _check_geometric(n, density, dims)
     if lognormal_sigma < 0:
         raise ValueError("lognormal_sigma must be non-negative")
@@ -375,13 +387,14 @@ def gen_config(degree_sequence, seed: int) -> Graph:
     touching the degree contract.
 
     The repair is sequential, but each round finds its bad edges with one
-    sort, and each attempt's partner index and flip are replayed from the
-    generator's raw words, so the edge set is the one that drawing every
-    number through ``rng.integers`` and ``rng.random`` gives.  The edges are
-    held as machine words, and the copies of each pair in one of two stores
-    that give the same edge set: n*n bytes indexed by pair code while n*n is
-    at most 64 bytes per edge, or else a dict keyed by code (also when a pair
-    has more than 255 copies).  Each pairing logs one DEBUG record
+    sort, and the attempts' partner indices and flips are decoded from the
+    generator's raw words with numpy, a run of attempts at a time, so the
+    edge set is the one that drawing every number through ``rng.integers``
+    and ``rng.random`` gives.  The edges are held as machine words, and the
+    copies of each pair in one of two stores that give the same edge set:
+    n*n bytes indexed by pair code while n*n is at most 64 bytes per edge, or
+    else a dict keyed by code (also when a pair has more than 255 copies).
+    Each pairing logs one DEBUG record
     ``repair n=… m=… bad=… rounds=… attempts=… held=bytes|dict`` on the
     ``hiercomp.generators`` logger (for the complement when paired there).
     """
@@ -422,52 +435,132 @@ def _repair_gave_up(m: int) -> str:
             f"after {100 * m} attempts (cap: 100 per edge); another seed may realise it")
 
 
-_RAW_BLOCK = 1 << 14  # raw words fetched from the bit generator at a time
+_WORD_BLOCK = 1 << 14  # fewest raw words fetched from the bit generator at a time
+_RUN_MIN, _RUN_MAX = 1 << 8, 1 << 14  # attempts decoded at a time, grown with the attempts made
 
 
-def _attempt_draws(rng: np.random.Generator, m: int):
-    """The draws of repair attempts, replayed from a PCG64 generator's raw
-    64-bit words in plain integer arithmetic.
+class _AttemptDraws:
+    """The draws of repair attempts, decoded in runs from a PCG64 generator's
+    raw 64-bit words with numpy.
 
-    A generator: prime it with ``next`` (the guards raise there), then send
-    each attempt's bad-edge index.  It yields ``(j, flip)``, the partner
-    ``rng.integers(m)`` and ``rng.random() < 0.5``, and draws no coin when
-    j is the index sent (flip is then False).
+    :meth:`run` returns the next run of attempts as one list of keys
+    2j + flip: the partner ``j = rng.integers(m)`` and the coin
+    ``flip = rng.random() < 0.5``.  An attempt whose partner is the bad edge
+    itself draws no coin, so the caller reports it with :meth:`hit`, and the
+    rest of that run is dropped.
 
     For m < 2**32 numpy draws ``integers(m)`` with Lemire's 32-bit method
     (ACM TOMACS 29(1), 2019) on PCG64's ``next_uint32``, which returns the
     low half of a fresh word and keeps the high half for its next call; it
     draws nothing at m = 1.  ``random()`` is ``(word >> 11) * 2**-53``:
     below 0.5 exactly when the word's top bit is clear, and it leaves the
-    spare half alone.  The spare half is read once; words are then taken in
-    blocks, so the generator itself runs ahead of the draws replayed.
+    spare half alone.  So with no spare half, attempts 2i and 2i + 1 take
+    their partners from the low and high halves of word 3i and their coins
+    from words 3i + 1 and 3i + 2; a spare half serves the first attempt,
+    whose coin is the next word.  A half that Lemire rejects ends the run:
+    that attempt is drawn word by word and is the run's last.  The spare
+    half is read once; words are then fetched in blocks, so the generator
+    itself runs ahead of the draws decoded.
     """
-    bit_generator = rng.bit_generator
-    state = bit_generator.state
-    if state["bit_generator"] != "PCG64":
-        raise ValueError(f"can replay PCG64 only, not {state['bit_generator']}")
-    if not 1 <= m < 1 << 32:
-        raise ValueError(f"can replay integers(m) for 1 <= m < 2**32 only, not m={m}")
-    threshold = ((1 << 32) - m) % m  # Lemire rejects a low product below this
-    spare = state["uinteger"] if state["has_uint32"] else None
-    word = chain.from_iterable(
-        iter(lambda: bit_generator.random_raw(_RAW_BLOCK).tolist(), None)).__next__
-    idx = yield
-    j = 0
-    while True:
-        while m > 1:
+
+    def __init__(self, rng: np.random.Generator, m: int) -> None:
+        state = rng.bit_generator.state
+        if state["bit_generator"] != "PCG64":
+            raise ValueError(f"can replay PCG64 only, not {state['bit_generator']}")
+        if not 1 <= m < 1 << 32:
+            raise ValueError(f"can replay integers(m) for 1 <= m < 2**32 only, not m={m}")
+        self._raw = rng.bit_generator.random_raw
+        self._m = m
+        self._threshold = ((1 << 32) - m) % m  # Lemire rejects a low product below this
+        self._words = np.empty(0, np.uint64)
+        # the stream's position: the next unread word, and the spare half
+        self._pos = 0
+        self._spare = state["uinteger"] if state["has_uint32"] else None
+        self._start = (0, None)  # the position at the current run's start
+        self._last = None  # (attempt, coin word, spare) of a word-by-word last attempt
+
+    def _word(self, pos: int) -> int:
+        if pos >= self._words.size:
+            self._words = np.concatenate((self._words, self._raw(_WORD_BLOCK)))
+        return int(self._words[pos])
+
+    def run(self, limit: int) -> list[int]:
+        """The keys 2j + flip of the next 1 to ``limit`` attempts."""
+        if self._m == 1:
+            return [0]
+        pos, spare = self._pos, self._spare
+        s = spare is not None
+        pairs = (limit - s + 1) // 2
+        need = s + 3 * pairs
+        if pos + need > self._words.size:  # keep the unread words, fetch more
+            self._words = np.concatenate(
+                (self._words[pos:], self._raw(max(need, _WORD_BLOCK))))
+            pos = 0
+        self._start = pos, spare
+        words = self._words[pos:pos + need]
+        triples = words[s:].reshape(pairs, 3)
+        halves = np.empty(s + 2 * pairs, np.uint64)
+        halves[s::2] = triples[:, 0]
+        halves[s::2] &= 0xFFFFFFFF
+        np.right_shift(triples[:, 0], 32, out=halves[s + 1::2])
+        coins = np.empty(s + 2 * pairs, np.int64)  # a clear top bit reads as >= 0
+        coins[s::2] = triples[:, 1].view(np.int64)
+        coins[s + 1::2] = triples[:, 2].view(np.int64)
+        if s:
+            halves[0] = spare
+            coins[:1] = words[:1].view(np.int64)
+        halves = halves[:limit]
+        halves *= np.uint64(self._m)  # below 2**64: both factors are below 2**32
+        rejected = np.flatnonzero((halves & 0xFFFFFFFF) < self._threshold)
+        r = int(rejected[0]) if rejected.size else limit
+        keys = halves[:r] >> 32
+        keys <<= 1
+        keys += coins[:r] >= 0
+        keys = keys.tolist()
+        if r == limit:
+            self._pos, self._spare = self._after(r - 1, hit=False)
+            self._last = None
+            return keys
+        # attempt r, word by word from where attempt r - 1 left the stream
+        pos, spare = self._after(r - 1, hit=False) if r else (pos, spare)
+        while True:
             if spare is None:
-                x = word()
+                x = self._word(pos)
+                pos += 1
                 spare = x >> 32
                 x &= 0xFFFFFFFF
             else:
-                x = spare
-                spare = None
-            x *= m
-            if x & 0xFFFFFFFF >= threshold:
-                j = x >> 32
+                x, spare = spare, None
+            x *= self._m
+            if x & 0xFFFFFFFF >= self._threshold:
                 break
-        idx = yield (j, False) if j == idx else (j, word() < 1 << 63)
+        keys.append(2 * (x >> 32) + (self._word(pos) < 1 << 63))
+        self._last = r, pos, spare
+        self._pos, self._spare = pos + 1, spare
+        return keys
+
+    def _after(self, t: int, hit: bool) -> tuple[int, int | None]:
+        """The stream's position after attempt t of the current run, whose
+        coin was drawn unless ``hit``."""
+        pos, spare = self._start
+        s = spare is not None
+        if s and t == 0:
+            coin, spare = pos, None
+        else:
+            i, odd = divmod(t - s, 2)
+            coin = pos + s + 3 * i + 1 + odd
+            spare = None if odd else int(self._words[coin - 1]) >> 32
+        return coin + (not hit), spare
+
+    def hit(self, t: int) -> None:
+        """Attempt t of the current run drew the bad edge itself, so it drew
+        no coin: the next run starts at that coin's word."""
+        if self._m == 1:
+            return
+        if self._last is not None and t == self._last[0]:
+            self._pos, self._spare = self._last[1:]
+        else:
+            self._pos, self._spare = self._after(t, hit=True)
 
 
 def _bad_edges(codes: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -486,6 +579,13 @@ def _bad_edges(codes: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
 _BYTES_PER_EDGE = 64
 
 
+class _Copies(dict):
+    """Copies of each pair by code, 0 for a pair not held (and not stored)."""
+
+    def __missing__(self, code: int) -> int:
+        return 0
+
+
 def _pair_and_repair(deg: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Ascending pair codes of a simple graph with degree sequence deg.
 
@@ -493,7 +593,7 @@ def _pair_and_repair(deg: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     them in index order: a bad edge (a, b) swaps with a uniform partner
     (c, d), flipped with probability 1/2, into (a, c) and (b, d) when both
     are new distinct pairs.  Every draw is the one ``rng.integers(m)`` or
-    ``rng.random() < 0.5`` would make (see :func:`_attempt_draws`).  The
+    ``rng.random() < 0.5`` would make (see :class:`_AttemptDraws`).  The
     copies of each pair are counted in bytes or in a dict (see
     ``_BYTES_PER_EDGE``); both answer the same lookups.
     """
@@ -501,31 +601,31 @@ def _pair_and_repair(deg: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     stubs = np.repeat(np.arange(n, dtype=np.int64), deg)
     rng.shuffle(stubs)
     half = stubs.reshape(-1, 2)
-    codes = half.min(axis=1) * n + half.max(axis=1)
+    codes = np.minimum(half[:, 0], half[:, 1]) * n + np.maximum(half[:, 0], half[:, 1])
+    del stubs, half
     m = codes.size
     bad, ordered = _bad_edges(codes, n)
     firsts = np.flatnonzero(np.diff(ordered, prepend=-1))  # first copy of each pair
     copies = np.diff(firsts, append=m)
     in_bytes = n * n <= _BYTES_PER_EDGE * m and copies.max(initial=0) <= 255
-    first_bad, rounds, attempts = bad.size, 0, 0
+    first_bad, rounds, done, t = bad.size, 0, 0, 0
     try:
         if not bad.size:
             return ordered
-        edges = array("q", codes.tobytes())
+        edges = array("q")
+        edges.frombytes(codes.view(np.uint8))
         if in_bytes:
             count = bytearray(n * n)
             np.frombuffer(count, np.uint8)[ordered[firsts]] = copies
-            held = count.__getitem__
         else:
-            count = dict.fromkeys(codes.tolist(), 1)
+            count = _Copies.fromkeys(codes.tolist(), 1)
             many = copies > 1
             count.update(zip(ordered[firsts[many]].tolist(), copies[many].tolist()))
-            held = count.get
-        del ordered, firsts, copies
-        draws = _attempt_draws(rng, m)
-        next(draws)
-        send = draws.send
+        del codes, ordered, firsts, copies
+        draws = _AttemptDraws(rng, m)
         max_attempts = 100 * m
+        keys: list[int] = []
+        end = 0  # the current run's length; t is its next attempt, done counts earlier runs'
         while bad.size:
             rounds += 1
             for idx in bad.tolist():
@@ -533,35 +633,45 @@ def _pair_and_repair(deg: np.ndarray, rng: np.random.Generator) -> np.ndarray:
                 if code % (n + 1) and count[code] == 1:  # mended by an earlier swap
                     continue
                 a, b = divmod(code, n)
+                own = 2 * idx + 1  # k | 1 for either key of the bad edge itself
                 while True:
-                    if attempts >= max_attempts:
-                        raise ValueError(_repair_gave_up(m))
-                    attempts += 1
-                    j, flip = send(idx)
-                    if j == idx:
+                    if t == end:
+                        done, t = done + t, 0
+                        if done >= max_attempts:
+                            raise ValueError(_repair_gave_up(m))
+                        keys = draws.run(
+                            min(max_attempts - done, max(_RUN_MIN, min(done, _RUN_MAX))))
+                        end = len(keys)
+                    k = keys[t]
+                    if k | 1 == own:
+                        draws.hit(t)
+                        done += t + 1
+                        t = end = 0
                         continue
-                    other = edges[j]
-                    c, d = divmod(other, n)
-                    if flip:
+                    t += 1
+                    other = edges[k >> 1]
+                    c = other // n
+                    d = other - c * n
+                    if k & 1:  # flipped
                         c, d = d, c
                     if a == c or b == d:
                         continue
                     q1 = a * n + c if a < c else c * n + a
                     q2 = b * n + d if b < d else d * n + b
-                    if q1 == q2 or held(q1) or held(q2):
+                    if count[q1] or count[q2] or q1 == q2:
                         continue
                     count[code] -= 1
                     count[other] -= 1
                     count[q1] = count[q2] = 1
                     edges[idx] = q1
-                    edges[j] = q2
+                    edges[k >> 1] = q2
                     break
             codes = np.array(edges, dtype=np.int64)
-            bad, _ = _bad_edges(codes, n)
-        return np.sort(codes)
+            bad, ordered = _bad_edges(codes, n)
+        return ordered
     finally:
         log.debug("repair n=%d m=%d bad=%d rounds=%d attempts=%d held=%s",
-                  n, m, first_bad, rounds, attempts, "bytes" if in_bytes else "dict")
+                  n, m, first_bad, rounds, done + t, "bytes" if in_bytes else "dict")
 
 
 def generate(spec: ModelSpec) -> Graph:
@@ -580,10 +690,9 @@ def generate(spec: ModelSpec) -> Graph:
         )
     if spec.degree_sequence is not None:
         return gen_config(spec.degree_sequence, spec.seed)
-    base = gen_rhgg(
-        spec.n, spec.target, child_seed(spec.seed, 0),
-        dims=spec.dims,
-        lognormal_mu=spec.lognormal_mu,
-        lognormal_sigma=spec.lognormal_sigma,
-    )
-    return gen_config(base.degrees, child_seed(spec.seed, 1))
+    # rhg keeps only the degrees of its rhgg base, so the base is never built
+    base = _rhgg_pairs(spec.n, spec.target, child_seed(spec.seed, 0), spec.dims,
+                       spec.lognormal_mu, spec.lognormal_sigma)
+    degrees = np.bincount(base // spec.n, minlength=spec.n)
+    degrees += np.bincount(base % spec.n, minlength=spec.n)
+    return gen_config(degrees, child_seed(spec.seed, 1))

@@ -113,6 +113,21 @@ def r_hat_sqrtk_global(adj, sqrt_m: bool = False) -> float:
     return math.fsum(vals) / len(ks)
 
 
+def class_sigmas_naive(n: int, edges, ddof: int = 0) -> dict[int, np.ndarray]:
+    """k -> the column sds of the degree-k NDS matrix, by ``ndarray.std``."""
+    adj = adjacency(n, edges)
+    return {k: np.array([nds(adj, i) for i in nodes], dtype=np.float64).std(axis=0, ddof=ddof)
+            for k, nodes in sorted(degree_classes(adj).items())}
+
+
+def class_table_naive(n: int, edges, ddof: int = 0) -> dict[int, tuple[int, float, float]]:
+    """k -> (class size, sum of sds, sum of squared sds), the sums as
+    ``sigma.sum()`` and ``np.square(sigma).sum()`` give them."""
+    classes = degree_classes(adjacency(n, edges))
+    return {k: (len(classes[k]), float(sig.sum()), float(np.square(sig).sum()))
+            for k, sig in class_sigmas_naive(n, edges, ddof).items()}
+
+
 # ---------------------------------------------------------------------------
 # attachment weights, straight from the definitions
 

@@ -10,7 +10,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracle
@@ -25,7 +25,7 @@ from hiercomp.complexity import (
     nhc_k,
 )
 from hiercomp.generators import gen_er, gen_rhgg
-from hiercomp.graph import build_graph
+from hiercomp.graph import build_graph, from_codes
 
 SIX_EDGES = [(0, 1), (1, 2), (2, 3), (1, 3), (3, 4), (4, 5)]
 
@@ -139,7 +139,32 @@ def test_column_sds_are_numpys_std_to_the_bit(shape, ddof):
     rows.sort(axis=1)
     x = rows.astype(np.float64)
     expected = x.std(axis=0, ddof=ddof)
-    assert complexity._column_sds(x.copy(), ddof).tobytes() == expected.tobytes()
+    sds = np.empty(shape[1])
+    complexity._centred_squares(x.copy(), sds)  # then as the kernel does for every class
+    np.true_divide(sds, np.full(shape[1], max(shape[0] - ddof, 0), np.float64), out=sds)
+    assert np.sqrt(sds).tobytes() == expected.tobytes()
+
+
+@given(st.integers(1, 60), st.floats(0.0, 1.0), st.integers(0, 2**32), st.integers(0, 12),
+       st.sampled_from([0, 1]))
+@example(30, 0.6, 1, 0, 0)  # classes of k >= 9
+@example(30, 0.6, 1, 0, 1)
+@example(5, 0.0, 0, 12, 0)  # a star: one k = 1 class of 12 rows
+@example(20, 0.3, 2, 10, 1)  # a k = 1 class of >= 10 rows beside the er classes
+@settings(max_examples=120, deadline=None)
+def test_class_table_matches_naive_to_the_bit(n, p, seed, leaves, ddof):
+    """The class table, and every class's sigmas, are those of ``rows.std``
+    per class, to the bit; ``leaves`` pendant nodes on node 0 make a large
+    k = 1 class."""
+    big = n + leaves
+    pendant = np.array([(0, n + i) for i in range(leaves)], np.int64).reshape(-1, 2)
+    edges = np.vstack((gen_er(n, p, seed).edge_array(), pendant))
+    g = from_codes(big, np.sort(edges[:, 0] * big + edges[:, 1]))
+    naive = oracle.class_sigmas_naive(big, edges.tolist(), ddof)
+    got = {k: sig for k, _, sig in class_sigmas(g, ddof)}
+    assert list(got) == list(naive)
+    assert all(got[k].tobytes() == naive[k].tobytes() for k in naive)
+    assert complexity._class_table(g, ddof) == oracle.class_table_naive(big, edges.tolist(), ddof)
 
 
 MEMO_GRAPH = gen_rhgg(300, 0.05, seed=31, lognormal_sigma=0.5)

@@ -371,25 +371,58 @@ def _warmed(seed: int, warmup: int) -> np.random.Generator:
     return rng
 
 
-def _assert_replays(mine, ref, m, script):
-    """Each entry of script sends the partner index that ref is about to
-    draw (True), so no coin may be drawn, or another index (False)."""
-    draws = generators._attempt_draws(mine, m)
-    next(draws)
+def _decoded(mine, m, script, limits, seen=None):
+    """(j, flip) of each scripted attempt, read as the repair reads them: in
+    runs of at most the next of ``limits`` attempts.  A True entry is a hit,
+    the bad edge's own index (always at m = 1): it draws no coin (flip None)
+    and drops the rest of its run.  ``seen`` collects (run length, limit,
+    spare half set after the run) of every run."""
+    draws = generators._AttemptDraws(mine, m)
+    limits = iter(limits)
+    keys, t, out = [], 0, []
     for hit in script:
-        j = int(ref.integers(m))
-        idx = j if hit else (j + 1) % m  # m = 1 always hits
-        if idx == j:
-            assert draws.send(idx) == (j, False)
+        if t == len(keys):
+            limit = next(limits)
+            keys, t = draws.run(limit), 0
+            assert 1 <= len(keys) <= limit
+            if seen is not None:
+                seen.append((len(keys), limit, draws._spare is not None))
+        k = keys[t]
+        if hit or m == 1:
+            draws.hit(t)
+            keys, t = [], 0
+            out.append((k >> 1, None))
         else:
-            assert draws.send(idx) == (j, ref.random() < 0.5)
+            out.append((k >> 1, k & 1 == 1))
+            t += 1
+    return out
+
+
+def _drawn(ref, m, script):
+    """The same attempts drawn through numpy one number at a time."""
+    return [(int(ref.integers(m)), None if hit or m == 1 else ref.random() < 0.5)
+            for hit in script]
+
+
+def _assert_replays(seed_state, m, script, limits, seen=None):
+    mine, ref = seed_state(), seed_state()
+    assert _decoded(mine, m, script, limits, seen) == _drawn(ref, m, script)
 
 
 @given(st.sampled_from(_REPLAY_M), st.integers(0, 2**64 - 1), st.integers(0, 3),
-       st.lists(st.booleans(), max_size=200))
+       st.lists(st.booleans(), max_size=200), st.lists(st.integers(1, 70), min_size=1))
 @settings(max_examples=200, deadline=None)
-def test_replay_matches_numpy_integers_and_coin(m, seed, warmup, script):
-    _assert_replays(_warmed(seed, warmup), _warmed(seed, warmup), m, script)
+def test_replay_matches_numpy_integers_and_coin(m, seed, warmup, script, limits):
+    cycle = (limits * (len(script) // len(limits) + 1))[:max(len(script), 1)]
+    _assert_replays(lambda: _warmed(seed, warmup), m, script, cycle)
+
+
+def _spared(m: int, spare: int):
+    def seed_state():
+        rng = np.random.default_rng(m)
+        rng.bit_generator.state = {**rng.bit_generator.state, "has_uint32": 1, "uinteger": spare}
+        return rng
+    return seed_state
 
 
 def test_replay_at_lemire_rejection_boundaries():
@@ -397,29 +430,65 @@ def test_replay_at_lemire_rejection_boundaries():
     # for m = 2**31 + 1 and m = 2**32 - 1, where numpy accepts it
     for m in _REPLAY_M:
         for spare in (0, 1, 2**31 - 1, 2**31, 2**32 - 1):
-            for script in ([False] * 3, [True] * 3):
-                mine, ref = (np.random.default_rng(m) for _ in range(2))
-                for rng in (mine, ref):
-                    rng.bit_generator.state = {**rng.bit_generator.state,
-                                               "has_uint32": 1, "uinteger": spare}
-                _assert_replays(mine, ref, m, script)
+            for script in ([False] * 3, [True] * 3, [True, False, False]):
+                for limit in (1, 2, 3):
+                    _assert_replays(_spared(m, spare), m, script, [limit] * 3)
 
 
 def test_replay_crosses_word_blocks():
     rng = np.random.default_rng(4)
-    script = (rng.random(3 * generators._RAW_BLOCK) < 0.3).tolist()
+    for share in (0.3, 0.0001):  # hits cut most runs short, or almost none
+        script = (rng.random(3 * generators._WORD_BLOCK) < share).tolist()
+        for warmup in (0, 1):
+            _assert_replays(lambda: _warmed(11, warmup), 2**31 + 1, script,
+                            [generators._RUN_MAX] * len(script))
+            _assert_replays(lambda: _warmed(11, warmup), 80865, script,
+                            [generators._RUN_MAX] * len(script))
+
+
+def test_replay_hits_the_last_attempt_of_a_run():
+    # m = 2**31 + 1 rejects about half its halves, so most of its runs end
+    # early, with an attempt drawn word by word
+    for m, warmup in ((2**31 + 1, 0), (2**31 + 1, 1), (80865, 0), (80865, 1)):
+        mine, ref = _warmed(5, warmup), _warmed(5, warmup)
+        draws = generators._AttemptDraws(mine, m)
+        short = 0
+        for _ in range(300):
+            keys = draws.run(4)
+            short += len(keys) < 4
+            for k in keys[:-1]:
+                assert (k >> 1, k & 1 == 1) == (ref.integers(m), ref.random() < 0.5)
+            assert keys[-1] >> 1 == ref.integers(m)  # and no coin
+            draws.hit(len(keys) - 1)
+        assert (short > 0) == (m == 2**31 + 1)
+
+
+def test_replay_run_ends_at_a_rejected_half():
+    # 3 * 2**30 rejects a quarter of its halves: some runs of 4 end early
     for warmup in (0, 1):
-        _assert_replays(_warmed(11, warmup), _warmed(11, warmup), 2**31 + 1, script)
+        seen: list = []
+        _assert_replays(lambda: _warmed(6, warmup), 3 * 2**30, [False] * 2000, [4] * 2000, seen)
+        assert {length < limit for length, limit, _ in seen} == {True, False}
+
+
+def test_replay_spare_half_at_a_run_boundary():
+    # a run that ends on a low half leaves its high half to the next run
+    for warmup in (0, 1):
+        seen: list = []
+        _assert_replays(lambda: _warmed(7, warmup), 80865, [False] * 300,
+                        [1, 2, 3, 5, 8] * 60, seen)
+        spares = [spare for _, _, spare in seen]
+        assert True in spares and False in spares
 
 
 def test_replay_guards():
     with pytest.raises(ValueError, match="2\\*\\*32"):
-        next(generators._attempt_draws(np.random.default_rng(0), 2**32))
+        generators._AttemptDraws(np.random.default_rng(0), 2**32)
     with pytest.raises(ValueError, match="m=0"):
-        next(generators._attempt_draws(np.random.default_rng(0), 0))
+        generators._AttemptDraws(np.random.default_rng(0), 0)
     for bit_generator in (np.random.MT19937(0), np.random.PCG64DXSM(0)):
         with pytest.raises(ValueError, match="PCG64 only"):
-            next(generators._attempt_draws(np.random.Generator(bit_generator), 5))
+            generators._AttemptDraws(np.random.Generator(bit_generator), 5)
 
 
 def _repair_records(caplog, degs, seed):

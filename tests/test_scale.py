@@ -52,9 +52,9 @@ def test_partial_run_prints_records_and_writes_no_file(capsys):
 def test_measures_reference_side_runs_the_kernel_per_measure(tmp_path, monkeypatch):
     small = dataclasses.replace(scale.POINTS["measures-er-4000"], n=300)
     passes = []
-    kernel = complexity.class_sigmas
-    monkeypatch.setattr(complexity, "class_sigmas",
-                        lambda g, ddof=0: passes.append(ddof) or kernel(g, ddof))
+    kernel = complexity._class_columns
+    monkeypatch.setattr(complexity, "_class_columns",
+                        lambda g, ddof: passes.append(ddof) or kernel(g, ddof))
     for side, count in (("new", 1), ("ref", 3)):
         passes.clear()
         with monkeypatch.context() as mp:
