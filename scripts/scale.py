@@ -104,7 +104,7 @@ def _theory(p: Point, side: str, work: Path, patch, timed):
 
 def _repair(p: Point, side: str, work: Path, patch, timed):
     """gen_config's pairing and swap repair on an rhgg degree sequence; the
-    reference draws every number through numpy."""
+    reference draws each attempt's key through numpy alone, not in blocks."""
     if side == "ref":
         patch(generators, "_pair_and_repair", oracle.pair_and_repair_naive)
     degrees = generators.gen_rhgg(p.n, p.density, seed=1).degrees

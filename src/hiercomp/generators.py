@@ -27,11 +27,12 @@ reach it, and one exact top-m cut over those pairs gives the edge set that
 ranking every pair would give.  Work and memory follow the number of
 candidate pairs, about m, not n^2.
 
-rhg's swap repair is a sequential Python loop, one attempt at a time, but it
-draws no number itself: numpy decodes each run of attempts' partner indices
-and coins from the generator's raw 64-bit words (Lemire's bounded integers),
-so the loop only indexes a list and the edge set is the one that drawing
-every number through numpy gives.  rhg keeps only its rhgg base's degrees,
+rhg's swap repair is a sequential Python loop, one attempt at a time.  Each
+attempt reads one key 2j + flip from a block of ``rng.integers(2m)`` draws
+(partner j, coin flip), so the loop only indexes a list, and the edge set is
+the one that drawing each key alone gives.  This stream replaced one
+``integers(m)`` and one ``random()`` per attempt, so rhg graphs differ from
+those of versions that drew them.  rhg keeps only its rhgg base's degrees,
 so the base graph is never built.
 """
 
@@ -387,14 +388,13 @@ def gen_config(degree_sequence, seed: int) -> Graph:
     touching the degree contract.
 
     The repair is sequential, but each round finds its bad edges with one
-    sort, and the attempts' partner indices and flips are decoded from the
-    generator's raw words with numpy, a run of attempts at a time, so the
-    edge set is the one that drawing every number through ``rng.integers``
-    and ``rng.random`` gives.  The edges are held as machine words, and the
-    copies of each pair in one of two stores that give the same edge set:
-    n*n bytes indexed by pair code while n*n is at most 64 bytes per edge, or
-    else a dict keyed by code (also when a pair has more than 255 copies).
-    Each pairing logs one DEBUG record
+    sort, and each attempt's partner and flip are one key drawn by
+    ``rng.integers(2m)``, a block of keys at a time, so the edge set is the
+    one that drawing each key alone gives.  The edges are held as machine
+    words, and the copies of each pair in one of two stores that give the
+    same edge set: n*n bytes indexed by pair code while n*n is at most 64
+    bytes per edge, or else a dict keyed by code (also when a pair has more
+    than 255 copies).  Each pairing logs one DEBUG record
     ``repair n=… m=… bad=… rounds=… attempts=… held=bytes|dict`` on the
     ``hiercomp.generators`` logger (for the complement when paired there).
     """
@@ -435,132 +435,7 @@ def _repair_gave_up(m: int) -> str:
             f"after {100 * m} attempts (cap: 100 per edge); another seed may realise it")
 
 
-_WORD_BLOCK = 1 << 14  # fewest raw words fetched from the bit generator at a time
-_RUN_MIN, _RUN_MAX = 1 << 8, 1 << 14  # attempts decoded at a time, grown with the attempts made
-
-
-class _AttemptDraws:
-    """The draws of repair attempts, decoded in runs from a PCG64 generator's
-    raw 64-bit words with numpy.
-
-    :meth:`run` returns the next run of attempts as one list of keys
-    2j + flip: the partner ``j = rng.integers(m)`` and the coin
-    ``flip = rng.random() < 0.5``.  An attempt whose partner is the bad edge
-    itself draws no coin, so the caller reports it with :meth:`hit`, and the
-    rest of that run is dropped.
-
-    For m < 2**32 numpy draws ``integers(m)`` with Lemire's 32-bit method
-    (ACM TOMACS 29(1), 2019) on PCG64's ``next_uint32``, which returns the
-    low half of a fresh word and keeps the high half for its next call; it
-    draws nothing at m = 1.  ``random()`` is ``(word >> 11) * 2**-53``:
-    below 0.5 exactly when the word's top bit is clear, and it leaves the
-    spare half alone.  So with no spare half, attempts 2i and 2i + 1 take
-    their partners from the low and high halves of word 3i and their coins
-    from words 3i + 1 and 3i + 2; a spare half serves the first attempt,
-    whose coin is the next word.  A half that Lemire rejects ends the run:
-    that attempt is drawn word by word and is the run's last.  The spare
-    half is read once; words are then fetched in blocks, so the generator
-    itself runs ahead of the draws decoded.
-    """
-
-    def __init__(self, rng: np.random.Generator, m: int) -> None:
-        state = rng.bit_generator.state
-        if state["bit_generator"] != "PCG64":
-            raise ValueError(f"can replay PCG64 only, not {state['bit_generator']}")
-        if not 1 <= m < 1 << 32:
-            raise ValueError(f"can replay integers(m) for 1 <= m < 2**32 only, not m={m}")
-        self._raw = rng.bit_generator.random_raw
-        self._m = m
-        self._threshold = ((1 << 32) - m) % m  # Lemire rejects a low product below this
-        self._words = np.empty(0, np.uint64)
-        # the stream's position: the next unread word, and the spare half
-        self._pos = 0
-        self._spare = state["uinteger"] if state["has_uint32"] else None
-        self._start = (0, None)  # the position at the current run's start
-        self._last = None  # (attempt, coin word, spare) of a word-by-word last attempt
-
-    def _word(self, pos: int) -> int:
-        if pos >= self._words.size:
-            self._words = np.concatenate((self._words, self._raw(_WORD_BLOCK)))
-        return int(self._words[pos])
-
-    def run(self, limit: int) -> list[int]:
-        """The keys 2j + flip of the next 1 to ``limit`` attempts."""
-        if self._m == 1:
-            return [0]
-        pos, spare = self._pos, self._spare
-        s = spare is not None
-        pairs = (limit - s + 1) // 2
-        need = s + 3 * pairs
-        if pos + need > self._words.size:  # keep the unread words, fetch more
-            self._words = np.concatenate(
-                (self._words[pos:], self._raw(max(need, _WORD_BLOCK))))
-            pos = 0
-        self._start = pos, spare
-        words = self._words[pos:pos + need]
-        triples = words[s:].reshape(pairs, 3)
-        halves = np.empty(s + 2 * pairs, np.uint64)
-        halves[s::2] = triples[:, 0]
-        halves[s::2] &= 0xFFFFFFFF
-        np.right_shift(triples[:, 0], 32, out=halves[s + 1::2])
-        coins = np.empty(s + 2 * pairs, np.int64)  # a clear top bit reads as >= 0
-        coins[s::2] = triples[:, 1].view(np.int64)
-        coins[s + 1::2] = triples[:, 2].view(np.int64)
-        if s:
-            halves[0] = spare
-            coins[:1] = words[:1].view(np.int64)
-        halves = halves[:limit]
-        halves *= np.uint64(self._m)  # below 2**64: both factors are below 2**32
-        rejected = np.flatnonzero((halves & 0xFFFFFFFF) < self._threshold)
-        r = int(rejected[0]) if rejected.size else limit
-        keys = halves[:r] >> 32
-        keys <<= 1
-        keys += coins[:r] >= 0
-        keys = keys.tolist()
-        if r == limit:
-            self._pos, self._spare = self._after(r - 1, hit=False)
-            self._last = None
-            return keys
-        # attempt r, word by word from where attempt r - 1 left the stream
-        pos, spare = self._after(r - 1, hit=False) if r else (pos, spare)
-        while True:
-            if spare is None:
-                x = self._word(pos)
-                pos += 1
-                spare = x >> 32
-                x &= 0xFFFFFFFF
-            else:
-                x, spare = spare, None
-            x *= self._m
-            if x & 0xFFFFFFFF >= self._threshold:
-                break
-        keys.append(2 * (x >> 32) + (self._word(pos) < 1 << 63))
-        self._last = r, pos, spare
-        self._pos, self._spare = pos + 1, spare
-        return keys
-
-    def _after(self, t: int, hit: bool) -> tuple[int, int | None]:
-        """The stream's position after attempt t of the current run, whose
-        coin was drawn unless ``hit``."""
-        pos, spare = self._start
-        s = spare is not None
-        if s and t == 0:
-            coin, spare = pos, None
-        else:
-            i, odd = divmod(t - s, 2)
-            coin = pos + s + 3 * i + 1 + odd
-            spare = None if odd else int(self._words[coin - 1]) >> 32
-        return coin + (not hit), spare
-
-    def hit(self, t: int) -> None:
-        """Attempt t of the current run drew the bad edge itself, so it drew
-        no coin: the next run starts at that coin's word."""
-        if self._m == 1:
-            return
-        if self._last is not None and t == self._last[0]:
-            self._pos, self._spare = self._last[1:]
-        else:
-            self._pos, self._spare = self._after(t, hit=True)
+_KEY_BLOCK = 1 << 12  # attempt keys drawn at a time
 
 
 def _bad_edges(codes: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -592,8 +467,10 @@ def _pair_and_repair(deg: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     Each round scans for bad edges (self-loops, repeated pairs) and fixes
     them in index order: a bad edge (a, b) swaps with a uniform partner
     (c, d), flipped with probability 1/2, into (a, c) and (b, d) when both
-    are new distinct pairs.  Every draw is the one ``rng.integers(m)`` or
-    ``rng.random() < 0.5`` would make (see :class:`_AttemptDraws`).  The
+    are new distinct pairs.  Each attempt draws one key
+    k = ``rng.integers(2 * m)``: the partner is k >> 1 and the flip k & 1,
+    and a key whose partner is the bad edge itself is spent as an attempt.
+    Keys come ``_KEY_BLOCK`` at a time, the same keys as one draw each.  The
     copies of each pair are counted in bytes or in a dict (see
     ``_BYTES_PER_EDGE``); both answer the same lookups.
     """
@@ -622,10 +499,9 @@ def _pair_and_repair(deg: np.ndarray, rng: np.random.Generator) -> np.ndarray:
             many = copies > 1
             count.update(zip(ordered[firsts[many]].tolist(), copies[many].tolist()))
         del codes, ordered, firsts, copies
-        draws = _AttemptDraws(rng, m)
         max_attempts = 100 * m
         keys: list[int] = []
-        end = 0  # the current run's length; t is its next attempt, done counts earlier runs'
+        end = 0  # the current block's length; t is its next key, done counts earlier blocks'
         while bad.size:
             rounds += 1
             for idx in bad.tolist():
@@ -639,16 +515,12 @@ def _pair_and_repair(deg: np.ndarray, rng: np.random.Generator) -> np.ndarray:
                         done, t = done + t, 0
                         if done >= max_attempts:
                             raise ValueError(_repair_gave_up(m))
-                        keys = draws.run(
-                            min(max_attempts - done, max(_RUN_MIN, min(done, _RUN_MAX))))
-                        end = len(keys)
+                        end = min(_KEY_BLOCK, max_attempts - done)
+                        keys = rng.integers(2 * m, size=end).tolist()
                     k = keys[t]
-                    if k | 1 == own:
-                        draws.hit(t)
-                        done += t + 1
-                        t = end = 0
-                        continue
                     t += 1
+                    if k | 1 == own:
+                        continue
                     other = edges[k >> 1]
                     c = other // n
                     d = other - c * n

@@ -140,7 +140,11 @@ def nhc_k_approx(n: int, p: float, k: int, dist=None) -> float:
         raise ValueError("k must be positive")
     if dist is None:
         dist = BinomialDistribution(n - 1, p)
-    total, _ = _sigma_sum(k, dist)
+    return _nhc_term(n, p, k, _sigma_sum(k, dist)[0])
+
+
+def _nhc_term(n: int, p: float, k: int, total: float) -> float:
+    """2 total / (p(1-p)(n-1) n (k+1) sqrt(k+2)): degree k's normalised term."""
     return 2.0 * total / (p * (1.0 - p) * (n - 1) * n * (k + 1) * math.sqrt(k + 2))
 
 
@@ -193,11 +197,10 @@ def nhc_global_approx(
         raise ValueError(f"degenerate degree range [{a}, {b}]")
     per: dict[int, float] = {}
     dropped = 0
-    scale = p * (1.0 - p) * (n - 1) * n
     for k in range(a, b + 1):
         total, miss = _sigma_sum(k, dist)
         dropped += miss
-        per[k] = 2.0 * total / (scale * (k + 1) * math.sqrt(k + 2))
+        per[k] = _nhc_term(n, p, k, total)
     global_value = math.fsum(per.values()) / (b - a)
     return TheoryApprox(per, global_value, a, b, dropped)
 

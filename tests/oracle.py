@@ -7,7 +7,7 @@ run on small graphs inside the test suite.  The exceptions are earlier
 versions of production paths, kept in numpy as references for their
 replacements (the row-wise er draw of one uniform per pair, the all-pairs
 geometric scan, the per-pair rejection loop of degree-sum attachment, the
-stub-pairing repair that draws through numpy one number at a time).
+stub-pairing repair that makes one numpy draw per attempt).
 """
 
 from __future__ import annotations
@@ -412,8 +412,9 @@ def draw_naive(g, mechanism: str, count: int, seed: int):
 
 def pair_and_repair_naive(deg: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Ascending pair codes of a simple graph with degree sequence deg: the
-    stub pairing and double-edge-swap repair that ``generators`` replays from
-    raw words, drawing each number through ``rng.integers`` / ``rng.random``."""
+    stub pairing and double-edge-swap repair that ``generators`` draws in key
+    blocks, drawing each attempt's key 2j + flip through ``rng.integers(2m)``
+    alone."""
     n = deg.size
     stubs = np.repeat(np.arange(n, dtype=np.int64), deg)
     rng.shuffle(stubs)
@@ -443,12 +444,13 @@ def pair_and_repair_naive(deg: np.ndarray, rng: np.random.Generator) -> np.ndarr
                         f"up after {100 * m} attempts (cap: 100 per edge); another seed may "
                         f"realise it")
                 attempts += 1
-                j = int(rng.integers(m))
+                key = int(rng.integers(2 * m))
+                j = key >> 1
                 if j == idx:
                     continue
                 a, b = divmod(edges[idx], n)
                 c, d = divmod(edges[j], n)
-                if rng.random() < 0.5:
+                if key & 1:
                     c, d = d, c
                 if a == c or b == d:
                     continue

@@ -353,142 +353,11 @@ _REPAIR_INPUTS = st.one_of(
 @example([1, 0, 1], 0)  # m = 1
 @settings(max_examples=300, deadline=None)
 def test_config_repair_matches_numpy_draw_loop(degs, seed):
-    """Replayed draws give the codes, or the error, of drawing each number
-    through numpy."""
+    """Keys drawn in blocks give the codes, or the error, of drawing each
+    attempt's key alone through numpy."""
     new = _config_outcome(degs, seed)
     with mock.patch.object(generators, "_pair_and_repair", oracle.pair_and_repair_naive):
         assert new == _config_outcome(degs, seed)
-
-
-_REPLAY_M = (1, 2, 3, 80865, 2**31 + 1, 2**32 - 1)  # 2**31 + 1 rejects about half its draws
-
-
-def _warmed(seed: int, warmup: int) -> np.random.Generator:
-    rng = np.random.default_rng(seed)
-    for _ in range(warmup):
-        rng.integers(5)  # an odd number of these leaves PCG64's spare half set
-    assert rng.bit_generator.state["has_uint32"] == warmup % 2
-    return rng
-
-
-def _decoded(mine, m, script, limits, seen=None):
-    """(j, flip) of each scripted attempt, read as the repair reads them: in
-    runs of at most the next of ``limits`` attempts.  A True entry is a hit,
-    the bad edge's own index (always at m = 1): it draws no coin (flip None)
-    and drops the rest of its run.  ``seen`` collects (run length, limit,
-    spare half set after the run) of every run."""
-    draws = generators._AttemptDraws(mine, m)
-    limits = iter(limits)
-    keys, t, out = [], 0, []
-    for hit in script:
-        if t == len(keys):
-            limit = next(limits)
-            keys, t = draws.run(limit), 0
-            assert 1 <= len(keys) <= limit
-            if seen is not None:
-                seen.append((len(keys), limit, draws._spare is not None))
-        k = keys[t]
-        if hit or m == 1:
-            draws.hit(t)
-            keys, t = [], 0
-            out.append((k >> 1, None))
-        else:
-            out.append((k >> 1, k & 1 == 1))
-            t += 1
-    return out
-
-
-def _drawn(ref, m, script):
-    """The same attempts drawn through numpy one number at a time."""
-    return [(int(ref.integers(m)), None if hit or m == 1 else ref.random() < 0.5)
-            for hit in script]
-
-
-def _assert_replays(seed_state, m, script, limits, seen=None):
-    mine, ref = seed_state(), seed_state()
-    assert _decoded(mine, m, script, limits, seen) == _drawn(ref, m, script)
-
-
-@given(st.sampled_from(_REPLAY_M), st.integers(0, 2**64 - 1), st.integers(0, 3),
-       st.lists(st.booleans(), max_size=200), st.lists(st.integers(1, 70), min_size=1))
-@settings(max_examples=200, deadline=None)
-def test_replay_matches_numpy_integers_and_coin(m, seed, warmup, script, limits):
-    cycle = (limits * (len(script) // len(limits) + 1))[:max(len(script), 1)]
-    _assert_replays(lambda: _warmed(seed, warmup), m, script, cycle)
-
-
-def _spared(m: int, spare: int):
-    def seed_state():
-        rng = np.random.default_rng(m)
-        rng.bit_generator.state = {**rng.bit_generator.state, "has_uint32": 1, "uinteger": spare}
-        return rng
-    return seed_state
-
-
-def test_replay_at_lemire_rejection_boundaries():
-    # a spare half of 2**32 - 1 puts the low product exactly on the threshold
-    # for m = 2**31 + 1 and m = 2**32 - 1, where numpy accepts it
-    for m in _REPLAY_M:
-        for spare in (0, 1, 2**31 - 1, 2**31, 2**32 - 1):
-            for script in ([False] * 3, [True] * 3, [True, False, False]):
-                for limit in (1, 2, 3):
-                    _assert_replays(_spared(m, spare), m, script, [limit] * 3)
-
-
-def test_replay_crosses_word_blocks():
-    rng = np.random.default_rng(4)
-    for share in (0.3, 0.0001):  # hits cut most runs short, or almost none
-        script = (rng.random(3 * generators._WORD_BLOCK) < share).tolist()
-        for warmup in (0, 1):
-            _assert_replays(lambda: _warmed(11, warmup), 2**31 + 1, script,
-                            [generators._RUN_MAX] * len(script))
-            _assert_replays(lambda: _warmed(11, warmup), 80865, script,
-                            [generators._RUN_MAX] * len(script))
-
-
-def test_replay_hits_the_last_attempt_of_a_run():
-    # m = 2**31 + 1 rejects about half its halves, so most of its runs end
-    # early, with an attempt drawn word by word
-    for m, warmup in ((2**31 + 1, 0), (2**31 + 1, 1), (80865, 0), (80865, 1)):
-        mine, ref = _warmed(5, warmup), _warmed(5, warmup)
-        draws = generators._AttemptDraws(mine, m)
-        short = 0
-        for _ in range(300):
-            keys = draws.run(4)
-            short += len(keys) < 4
-            for k in keys[:-1]:
-                assert (k >> 1, k & 1 == 1) == (ref.integers(m), ref.random() < 0.5)
-            assert keys[-1] >> 1 == ref.integers(m)  # and no coin
-            draws.hit(len(keys) - 1)
-        assert (short > 0) == (m == 2**31 + 1)
-
-
-def test_replay_run_ends_at_a_rejected_half():
-    # 3 * 2**30 rejects a quarter of its halves: some runs of 4 end early
-    for warmup in (0, 1):
-        seen: list = []
-        _assert_replays(lambda: _warmed(6, warmup), 3 * 2**30, [False] * 2000, [4] * 2000, seen)
-        assert {length < limit for length, limit, _ in seen} == {True, False}
-
-
-def test_replay_spare_half_at_a_run_boundary():
-    # a run that ends on a low half leaves its high half to the next run
-    for warmup in (0, 1):
-        seen: list = []
-        _assert_replays(lambda: _warmed(7, warmup), 80865, [False] * 300,
-                        [1, 2, 3, 5, 8] * 60, seen)
-        spares = [spare for _, _, spare in seen]
-        assert True in spares and False in spares
-
-
-def test_replay_guards():
-    with pytest.raises(ValueError, match="2\\*\\*32"):
-        generators._AttemptDraws(np.random.default_rng(0), 2**32)
-    with pytest.raises(ValueError, match="m=0"):
-        generators._AttemptDraws(np.random.default_rng(0), 0)
-    for bit_generator in (np.random.MT19937(0), np.random.PCG64DXSM(0)):
-        with pytest.raises(ValueError, match="PCG64 only"):
-            generators._AttemptDraws(np.random.Generator(bit_generator), 5)
 
 
 def _repair_records(caplog, degs, seed):
@@ -499,6 +368,36 @@ def _repair_records(caplog, degs, seed):
         except ValueError:
             pass
     return [r.getMessage() for r in caplog.records if r.name == "hiercomp.generators"]
+
+
+def _logged_outcome(degs, seed):
+    """gen_config's outcome and its DEBUG records, without a function-scoped
+    fixture, so hypothesis can call it."""
+    records = []
+    handler = logging.Handler()
+    handler.emit = records.append
+    logger = logging.getLogger("hiercomp.generators")
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.DEBUG)
+    try:
+        outcome = _config_outcome(degs, seed)
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+    return outcome, [r.getMessage() for r in records]
+
+
+@given(_REPAIR_INPUTS, st.integers(0, 2**32), st.sampled_from([1, 3, 64]))
+@example([1, 1, 1, 1, 1, 1, 2, 2, 8], 3, 64)  # gives up
+@example([1, 0, 1], 0, 3)  # m = 1
+@settings(max_examples=150, deadline=None)
+def test_config_repair_does_not_depend_on_key_block(degs, seed, block):
+    """The codes or error, and the DEBUG record with its attempts, of any
+    key block are those of the default one."""
+    with mock.patch.object(generators, "_KEY_BLOCK", block):
+        small = _logged_outcome(degs, seed)
+    assert small == _logged_outcome(degs, seed)
 
 
 # two hubs joined to every other node: their pair is paired about 300 times

@@ -60,7 +60,7 @@ FIG5_COARSE_SPARSE = RunManifest(
 )
 
 GOLDEN_CSV = {
-    "fig2.csv": "b482cb1e04f47faa8be8393e76ff2d87b0fa721a87728d4190b59d172f77ab67",
+    "fig2.csv": "b3a1477f9b08173e7318c72b16837b652344be3e1fecc159d03eacefad1646d8",
     "fig3.csv": "8f0bc10c094a762dabb161d2cf5eed635453ceaca823bdea7169ede7106a19a9",
     "fig4.csv": "010a9e63dfe1e629514aaf9d35c27f1e68e07acd684ea63cb4bba451a01cf625",
     "fig4_profile.csv": "1e5c5d82db3002490feb4b3a3ca56a02db6e693c282ebf3c6eae2093441e0681",
@@ -75,8 +75,8 @@ GOLDEN_REPORTS = {
     "rgg-90": "2d817c467f5d7f37e33d28c1f288633f57115280efedcab1d38316ede7914b91",
     "rhgg-40": "4c8d3ddac023ccde09577235e7e213da37158337851bf41cc621952a136dacad",
     "rhgg-90": "c5e775fc31af7bc779872016dc6ba8b0887a6c9eec4ac505655fde2f68fd7f34",
-    "rhg-40": "50c0118ba2fff1178e95fef2965bb361392414b24205b1221c7a8d51f452d8ea",
-    "rhg-90": "72ce46988b6dec3fac5a6e99ff6f0c883f8ac6844bbba031c2f88e6f8f1e3bee",
+    "rhg-40": "71fe57e21a1431204ac8aead53915c01fd5cd543a25e908f1c9581c5aae10edb",
+    "rhg-90": "d43053a3607ddce844070e1dd352d82e0f4219d8370d5fc76692e91561bd9a71",
 }
 
 # repr of [hc_global, nhc_global, sqrt-k, sqrt-k sqrt-m] at ddof 0, then ddof 1
@@ -88,8 +88,8 @@ GOLDEN_MEASURES = {
     "rgg-90": "082d0618d7f5b408cdc82eed645468681f25d4cf6e8ad35bdf03198ba849cb95",
     "rhgg-40": "9ea63192d4229659f9290fb0a496be51ddb07070ab3a16a7a8d0e7bf63e69643",
     "rhgg-90": "3c8d1300250bfe6b99e55a73e2c55b32e04981cfda57e86455a4950ff3ef261a",
-    "rhg-40": "75ffe86b85bfbcd82c2ee4ee48812625c869794291e3601caabce56f5c1f4a3c",
-    "rhg-90": "933322399e39b53b751a2043144472a8eccab63835ed4ca54921276a8ecae8aa",
+    "rhg-40": "9292c338dd015d3bbe085ad759a7d6af36183e47800219b3c8a55b3b5eef9d7d",
+    "rhg-90": "cd8238fe499368533c4e9e2c6b7a9bcbd2b0da2909e99579b649b3878c67e924",
 }
 
 # fig2's three measures in fig2's order, then in reverse order, then
@@ -102,8 +102,8 @@ GOLDEN_MEASURE_ORDER = {
     "rgg-90": "41d19dcc266721f865eb1e31ede361cd7221b100ee4a2e4334948b0b038e82f9",
     "rhgg-40": "166fed370e47193c07be4f0c629afe30fd7d4b9c3abbe6b86d801f6ca2a2e8f9",
     "rhgg-90": "d53f3f4066b9a78f5b39fb51acb640c17a2fee1b256c117671f894d92a859e44",
-    "rhg-40": "05ecd65bcb27c1b72aa5e4ea1fe4985c880caf73418860fb4a2abb4333a792b3",
-    "rhg-90": "d64d436d0b5c7fde26c18160eabeb21198cb0ebe9b8f9dfa30d97edee61db8da",
+    "rhg-40": "7de4572c55e1b0450b79f4c23239a9e8459316dbae890041d9b85747903a3675",
+    "rhg-90": "4bea965bd60d354ae1bcfb913efd71c1a38daf7fd8c6e1dc94cf70a7dfd87e10",
 }
 
 GOLDEN_EDGES = {
@@ -124,9 +124,9 @@ GOLDEN_CSR = {
     "rgg-90": "948315c08cc58015a5f7629f62f301cf4d33c232a00a8fd604afcc3b04933a08",
     "rhgg-40": "ed377680d70ba9ceb2cbcab459448618147d0361be59d9e8a734698c5cf09c07",
     "rhgg-90": "532ffa7f56d4122675c5fff94f764ff983b75e9704580f6225d221ab6a8ff440",
-    "rhg-40": "5d4febab0f306dbf9b491039876ffb4b231db2273f59d5c32f730c0c70b41056",
-    "rhg-90": "d26387760dac14318304e18c64002d484c939cef7ff6a15d402b43598fac8c9e",
-    "rhg-60-dense": "e6905c00d25bbb345266468101663b34ac154e2f2114bbd1050c419dcc722510",
+    "rhg-40": "9e202394a13c4684736093f90aacf3a940fafe2009382a88ad9063cba6f0c761",
+    "rhg-90": "c749bce45a4a6365c9b9f570122bd18f8f8a90fa7d23fd303d5f98f6f52abd3a",
+    "rhg-60-dense": "330e582d76448e711007d4551d62cf3d1e3e755ff2b5c03e8083f3b2dc28bba2",
     "er-1-empty": "ee98473907d559bbf6be6036bfbf44343e765064ec7fb35ed86c4fd44b4fe4ea",
     "rgg-1-empty": "ee98473907d559bbf6be6036bfbf44343e765064ec7fb35ed86c4fd44b4fe4ea",
     "rhgg-1-empty": "ee98473907d559bbf6be6036bfbf44343e765064ec7fb35ed86c4fd44b4fe4ea",
@@ -268,12 +268,12 @@ REPAIR_SEED = 5
 REPAIR_GRID = ((2000, 0.01), (1000, 0.1), (600, 0.45), (600, 0.7))
 REPAIR_SPARE_SEEDS = {"no-spare": 0, "spare": 2}
 GOLDEN_REPAIR = {
-    "model-sweep-rhg-2000-0.01": "48eccb59db53986273ff98cf253ef500f229ecbc619e08c95e72bff9ca1dea92",
-    "model-sweep-rhg-1000-0.1": "4908cb8f3e61eba2773195b780e4c47615d89e62d94edc1f64b275cf08002f14",
-    "model-sweep-rhg-600-0.45": "e071e53a8a1418aeca5c7e2df9865409c9c4e3e494f047443b056f23a27eeeff",
-    "model-sweep-rhg-600-0.7": "99b116363acdf6ff11c8f524157281e524e2704e425b9b3db2183d0a930fb2ae",
-    "rhgg200-no-spare": "71570c426e5efce82393502c0c4b1f89daf5b26e4fa8f4f3ea1fae6fd04cfff5",
-    "rhgg200-spare": "ab1655ed116f23a7f14e1ec1bbcc300b928526bf312ca343765829fa247061d4",
+    "model-sweep-rhg-2000-0.01": "e7efe7ba63694c01f741f36496e93b6982fc8da8fd722267a68a8796b6afae75",
+    "model-sweep-rhg-1000-0.1": "9f93068a1fbd1b6fdd68a671558d137acb29ee7795eee5cc0b1f16e2bc94ed6f",
+    "model-sweep-rhg-600-0.45": "63e3c583a84b184b92100c96f38f27ad4bdd7f015aba638ef0897a68c42cbf8b",
+    "model-sweep-rhg-600-0.7": "bffc5c5cc0baf162c18dd6462afca5dda5ae844c24f7e1d1e88b3242cf11d840",
+    "rhgg200-no-spare": "d91ed32a09e69e408c0b8e0fcbd284fc7e89d15fef088ede4c6f3d960de4603b",
+    "rhgg200-spare": "ff20742caf385b9ca8a0d3d0c451475d3300d865dfd9d19b307df74b5488ef5d",
     "one-edge": "9fb71faf6eb822a716f340219250f0930621c9bdee1ffea2aabeb8ca359fd6c8",
     "give-up-text": ("degree sequence is graphical, but the double-edge-swap repair gave up after "
                      "900 attempts (cap: 100 per edge); another seed may realise it"),
