@@ -10,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import oracle
@@ -370,34 +370,17 @@ def _repair_records(caplog, degs, seed):
     return [r.getMessage() for r in caplog.records if r.name == "hiercomp.generators"]
 
 
-def _logged_outcome(degs, seed):
-    """gen_config's outcome and its DEBUG records, without a function-scoped
-    fixture, so hypothesis can call it."""
-    records = []
-    handler = logging.Handler()
-    handler.emit = records.append
-    logger = logging.getLogger("hiercomp.generators")
-    level = logger.level
-    logger.addHandler(handler)
-    logger.setLevel(logging.DEBUG)
-    try:
-        outcome = _config_outcome(degs, seed)
-    finally:
-        logger.removeHandler(handler)
-        logger.setLevel(level)
-    return outcome, [r.getMessage() for r in records]
-
-
 @given(_REPAIR_INPUTS, st.integers(0, 2**32), st.sampled_from([1, 3, 64]))
 @example([1, 1, 1, 1, 1, 1, 2, 2, 8], 3, 64)  # gives up
 @example([1, 0, 1], 0, 3)  # m = 1
-@settings(max_examples=150, deadline=None)
-def test_config_repair_does_not_depend_on_key_block(degs, seed, block):
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_config_repair_does_not_depend_on_key_block(caplog, degs, seed, block):
     """The codes or error, and the DEBUG record with its attempts, of any
     key block are those of the default one."""
     with mock.patch.object(generators, "_KEY_BLOCK", block):
-        small = _logged_outcome(degs, seed)
-    assert small == _logged_outcome(degs, seed)
+        small = _config_outcome(degs, seed), _repair_records(caplog, degs, seed)
+    assert small == (_config_outcome(degs, seed), _repair_records(caplog, degs, seed))
 
 
 # two hubs joined to every other node: their pair is paired about 300 times
