@@ -250,6 +250,7 @@ def main(argv=None) -> int:
     if unknown:
         print(f"unknown points {unknown}; known: {' '.join(POINTS)}", file=sys.stderr)
         return 2
+    env = environment()  # before any point runs, so that "dirty" is the measured tree's
     records, verdicts = [], {}
     for name in names or POINTS:
         recs = run_point(POINTS[name])
@@ -257,7 +258,6 @@ def main(argv=None) -> int:
         verdicts[name] = verdict(POINTS[name], recs)
         print(f"{name}: {verdicts[name]}", flush=True)
     if not names:
-        env = environment()
         path = ROOT / f"BENCH_{env['git_sha'] or 'nogit'}.json"
         path.write_text(json.dumps(
             {"environment": env, "records": records, "verdicts": verdicts}, indent=1) + "\n")

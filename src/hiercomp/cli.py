@@ -69,6 +69,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _emit(text: str, output: str | None) -> None:
+    """Write text to the ``--output`` file, or to stdout without one."""
+    if output:
+        Path(output).write_text(text)
+    else:
+        sys.stdout.write(text)
+
+
 def _cmd_analyze(args) -> int:
     g = read_edgelist(args.path)
     rep = complexity_report(g)
@@ -76,10 +84,7 @@ def _cmd_analyze(args) -> int:
     payload["name"] = args.name or Path(args.path).stem
     payload["source_path"] = str(args.path)
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if args.output:
-        Path(args.output).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _emit(text, args.output)
     return 0
 
 
@@ -112,10 +117,7 @@ def _cmd_theory(args) -> int:
     lines = ["degree,value"]
     lines.extend(f"{k},{v!r}" for k, v in approx.to_rows())
     text = "\n".join(lines) + "\n"
-    if args.output:
-        Path(args.output).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _emit(text, args.output)
     print(
         f"global={approx.global_value!r} degree_range=[{approx.degree_low},{approx.degree_high}]"
         f" dropped_terms={approx.dropped_terms}",
@@ -144,10 +146,7 @@ def _cmd_rank(args) -> int:
             f"{rec.name},{rec.n},{rec.m},{rec.d!r},{rec.R!r},{rec.R_hat!r},{rank_r},{rank_rhat}"
         )
     text = "\n".join(lines) + "\n"
-    if args.output:
-        Path(args.output).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _emit(text, args.output)
     return 0
 
 

@@ -30,7 +30,7 @@ import numpy as np
 from .attachment import DEFAULT_FRACTIONS, MECHANISMS, density_sweep
 from .complexity import complexity_report, nhc_alt_sqrtk, nhc_global
 from .generators import ModelSpec, child_seed, gen_er, generate
-from .graph import Graph, from_codes
+from .graph import Graph
 from .theory import nhc_global_approx
 from .workbench import NetworkRecord, read_edgelist, record_for
 
@@ -249,8 +249,7 @@ def run_fig4(manifest: RunManifest, out_dir: Path) -> list[str]:
 
 
 def _attachment_task(args):
-    base_id, n, codes, mechanism, fractions, seed = args
-    g = from_codes(n, codes)
+    base_id, g, mechanism, fractions, seed = args
     trace = density_sweep(g, mechanism, fractions=fractions, seed=seed, base_id=base_id)
     return [(trace.base_id, trace.mechanism, s.fraction, s.edge_count, s.value) for s in trace.steps]
 
@@ -273,10 +272,9 @@ def _fig5_bases(manifest: RunManifest) -> list[tuple[str, Graph]]:
 def run_fig5(manifest: RunManifest, out_dir: Path) -> list[str]:
     tasks = []
     for b, (base_id, g) in enumerate(_fig5_bases(manifest)):
-        codes = g.codes()
         for mech_idx, mech in enumerate(manifest.mechanisms):
             tasks.append((
-                base_id, g.n, codes, mech, manifest.fractions,
+                base_id, g, mech, manifest.fractions,
                 child_seed(manifest.seed, 400, b, mech_idx),
             ))
     results = _pmap(_attachment_task, tasks, manifest.resolved_workers())

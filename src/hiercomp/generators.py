@@ -27,13 +27,13 @@ reach it, and one exact top-m cut over those pairs gives the edge set that
 ranking every pair would give.  Work and memory follow the number of
 candidate pairs, about m, not n^2.
 
-rhg's swap repair is a sequential Python loop, one attempt at a time.  Each
-attempt reads one key 2j + flip from a block of ``rng.integers(2m)`` draws
-(partner j, coin flip), so the loop only indexes a list, and the edge set is
-the one that drawing each key alone gives.  This stream replaced one
-``integers(m)`` and one ``random()`` per attempt, so rhg graphs differ from
-those of versions that drew them.  rhg keeps only its rhgg base's degrees,
-so the base graph is never built.
+rhg's swap repair is one sequential Python pass over the bad edges, one
+attempt at a time.  Each attempt reads one key 2j + flip from a block of
+``rng.integers(2m)`` draws (partner j, coin flip), so the loop only indexes a
+list, and the edge set is the one that drawing each key alone gives.  This
+stream replaced one ``integers(m)`` and one ``random()`` per attempt, so rhg
+graphs differ from those of versions that drew them.  rhg keeps only its
+rhgg base's degrees, so the base graph is never built.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from __future__ import annotations
 import logging
 import math
 from array import array
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -387,15 +388,15 @@ def gen_config(degree_sequence, seed: int) -> Graph:
     the complement and inverted, which keeps the repair tractable without
     touching the degree contract.
 
-    The repair is sequential, but each round finds its bad edges with one
-    sort, and each attempt's partner and flip are one key drawn by
+    The repair is one sequential pass over the bad edges, which one sort
+    finds, and each attempt's partner and flip are one key drawn by
     ``rng.integers(2m)``, a block of keys at a time, so the edge set is the
     one that drawing each key alone gives.  The edges are held as machine
     words, and the copies of each pair in one of two stores that give the
     same edge set: n*n bytes indexed by pair code while n*n is at most 64
-    bytes per edge, or else a dict keyed by code (also when a pair has more
-    than 255 copies).  Each pairing logs one DEBUG record
-    ``repair n=… m=… bad=… rounds=… attempts=… held=bytes|dict`` on the
+    bytes per edge, or else a ``Counter`` keyed by code (also when a pair
+    has more than 255 copies).  Each pairing logs one DEBUG record
+    ``repair n=… m=… bad=… attempts=… held=bytes|dict`` on the
     ``hiercomp.generators`` logger (for the complement when paired there).
     """
     deg = np.asarray(list(degree_sequence), dtype=np.int64)
@@ -437,42 +438,31 @@ def _repair_gave_up(m: int) -> str:
 
 _KEY_BLOCK = 1 << 12  # attempt keys drawn at a time
 
-
-def _bad_edges(codes: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending indices of self-loops (u*n + u = u*(n+1)) and of every copy
-    of a repeated pair; and the codes sorted."""
-    s = np.sort(codes)
-    further = s[1:][s[1:] == s[:-1]]
-    return np.flatnonzero((codes % (n + 1) == 0) | np.isin(codes, further)), s
-
-
 # The repair counts pair copies in n*n bytes indexed by code while that is at
-# most this many bytes per edge, and in a dict keyed by code on sparser
+# most this many bytes per edge, and in a Counter keyed by code on sparser
 # graphs.  At or below it the expected copies of any pair, d_u*d_v / 2m, are
 # at most n*n / 2m <= 32, so a count past a byte's 255 is all but impossible
-# there; such a count still takes the dict.
+# there; such a count still takes the Counter.
 _BYTES_PER_EDGE = 64
-
-
-class _Copies(dict):
-    """Copies of each pair by code, 0 for a pair not held (and not stored)."""
-
-    def __missing__(self, code: int) -> int:
-        return 0
 
 
 def _pair_and_repair(deg: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Ascending pair codes of a simple graph with degree sequence deg.
 
-    Each round scans for bad edges (self-loops, repeated pairs) and fixes
-    them in index order: a bad edge (a, b) swaps with a uniform partner
-    (c, d), flipped with probability 1/2, into (a, c) and (b, d) when both
-    are new distinct pairs.  Each attempt draws one key
-    k = ``rng.integers(2 * m)``: the partner is k >> 1 and the flip k & 1,
-    and a key whose partner is the bad edge itself is spent as an attempt.
-    Keys come ``_KEY_BLOCK`` at a time, the same keys as one draw each.  The
-    copies of each pair are counted in bytes or in a dict (see
-    ``_BYTES_PER_EDGE``); both answer the same lookups.
+    One pass mends the bad edges, the self-loops (u*n + u = u*(n+1)) and
+    every copy of a repeated pair, in index order: a bad edge (a, b) swaps
+    with a uniform partner (c, d), flipped with probability 1/2, into
+    (a, c) and (b, d) when both are new distinct pairs.  Each attempt draws
+    one key k = ``rng.integers(2 * m)``: the partner is k >> 1 and the flip
+    k & 1, and a key whose partner is the bad edge itself is spent as an
+    attempt.  Keys come ``_KEY_BLOCK`` at a time, the same keys as one draw
+    each.  The pair copies are counted as ``_BYTES_PER_EDGE`` says.
+
+    One pass is enough.  A swap only adds pairs q1 != q2 that are absent and
+    are not loops (a != c, b != d).  So a good edge stays good, and a
+    replaced partner becomes good.  Every listed index therefore ends the
+    pass swapped into a good pair, or skipped because its pair is down to
+    one copy and is not a loop.
     """
     n = deg.size
     stubs = np.repeat(np.arange(n, dtype=np.int64), deg)
@@ -481,11 +471,14 @@ def _pair_and_repair(deg: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     codes = np.minimum(half[:, 0], half[:, 1]) * n + np.maximum(half[:, 0], half[:, 1])
     del stubs, half
     m = codes.size
-    bad, ordered = _bad_edges(codes, n)
+    ordered = np.sort(codes)
+    # found before firsts and copies exist, so that isin's temporaries do not stack on them
+    bad = np.flatnonzero((codes % (n + 1) == 0)
+                         | np.isin(codes, ordered[1:][ordered[1:] == ordered[:-1]]))
     firsts = np.flatnonzero(np.diff(ordered, prepend=-1))  # first copy of each pair
     copies = np.diff(firsts, append=m)
     in_bytes = n * n <= _BYTES_PER_EDGE * m and copies.max(initial=0) <= 255
-    first_bad, rounds, done, t = bad.size, 0, 0, 0
+    done = t = 0
     try:
         if not bad.size:
             return ordered
@@ -495,55 +488,52 @@ def _pair_and_repair(deg: np.ndarray, rng: np.random.Generator) -> np.ndarray:
             count = bytearray(n * n)
             np.frombuffer(count, np.uint8)[ordered[firsts]] = copies
         else:
-            count = _Copies.fromkeys(codes.tolist(), 1)
-            many = copies > 1
-            count.update(zip(ordered[firsts[many]].tolist(), copies[many].tolist()))
+            count = Counter(codes.tolist())
         del codes, ordered, firsts, copies
         max_attempts = 100 * m
         keys: list[int] = []
         end = 0  # the current block's length; t is its next key, done counts earlier blocks'
-        while bad.size:
-            rounds += 1
-            for idx in bad.tolist():
-                code = edges[idx]
-                if code % (n + 1) and count[code] == 1:  # mended by an earlier swap
+        for idx in bad.tolist():
+            code = edges[idx]
+            if code % (n + 1) and count[code] == 1:  # mended by an earlier swap
+                continue
+            a, b = divmod(code, n)
+            own = 2 * idx + 1  # k | 1 for either key of the bad edge itself
+            while True:
+                if t == end:
+                    done, t = done + t, 0
+                    if done >= max_attempts:
+                        raise ValueError(_repair_gave_up(m))
+                    end = min(_KEY_BLOCK, max_attempts - done)
+                    keys = rng.integers(2 * m, size=end).tolist()
+                k = keys[t]
+                t += 1
+                if k | 1 == own:
                     continue
-                a, b = divmod(code, n)
-                own = 2 * idx + 1  # k | 1 for either key of the bad edge itself
-                while True:
-                    if t == end:
-                        done, t = done + t, 0
-                        if done >= max_attempts:
-                            raise ValueError(_repair_gave_up(m))
-                        end = min(_KEY_BLOCK, max_attempts - done)
-                        keys = rng.integers(2 * m, size=end).tolist()
-                    k = keys[t]
-                    t += 1
-                    if k | 1 == own:
-                        continue
-                    other = edges[k >> 1]
-                    c = other // n
-                    d = other - c * n
-                    if k & 1:  # flipped
-                        c, d = d, c
-                    if a == c or b == d:
-                        continue
-                    q1 = a * n + c if a < c else c * n + a
-                    q2 = b * n + d if b < d else d * n + b
-                    if count[q1] or count[q2] or q1 == q2:
-                        continue
-                    count[code] -= 1
-                    count[other] -= 1
-                    count[q1] = count[q2] = 1
-                    edges[idx] = q1
-                    edges[k >> 1] = q2
-                    break
-            codes = np.array(edges, dtype=np.int64)
-            bad, ordered = _bad_edges(codes, n)
+                other = edges[k >> 1]
+                c = other // n
+                d = other - c * n
+                if k & 1:  # flipped
+                    c, d = d, c
+                if a == c or b == d:
+                    continue
+                q1 = a * n + c if a < c else c * n + a
+                q2 = b * n + d if b < d else d * n + b
+                if count[q1] or count[q2] or q1 == q2:
+                    continue
+                count[code] -= 1
+                count[other] -= 1
+                count[q1] = count[q2] = 1
+                edges[idx] = q1
+                edges[k >> 1] = q2
+                break
+        ordered = np.sort(np.frombuffer(edges, np.int64))
+        if not (np.diff(ordered).all() and (ordered % (n + 1)).all()):
+            raise AssertionError("the swap repair left a self-loop or a repeated pair")
         return ordered
     finally:
-        log.debug("repair n=%d m=%d bad=%d rounds=%d attempts=%d held=%s",
-                  n, m, first_bad, rounds, done + t, "bytes" if in_bytes else "dict")
+        log.debug("repair n=%d m=%d bad=%d attempts=%d held=%s",
+                  n, m, bad.size, done + t, "bytes" if in_bytes else "dict")
 
 
 def generate(spec: ModelSpec) -> Graph:

@@ -49,6 +49,21 @@ def test_partial_run_prints_records_and_writes_no_file(capsys):
     assert scale.main(["no-such-point"]) == 2
 
 
+def test_full_run_takes_the_environment_before_the_first_point(tmp_path, monkeypatch, capsys):
+    """The dirty flag must describe the tree that the points measured, not
+    the tree after the run."""
+    events = []
+    environment, run_point = scale.environment, scale.run_point
+    monkeypatch.setattr(scale, "ROOT", tmp_path)
+    monkeypatch.setattr(scale, "POINTS", {"theory-fig3": scale.POINTS["theory-fig3"]})
+    monkeypatch.setattr(scale, "environment", lambda: events.append("environment") or environment())
+    monkeypatch.setattr(scale, "run_point", lambda p: events.append(p.name) or run_point(p))
+    assert scale.main([]) == 0
+    assert events == ["environment", "theory-fig3"]
+    (path,) = tmp_path.glob("BENCH_*.json")
+    assert json.loads(path.read_text())["verdicts"] == {"theory-fig3": "not compared"}
+
+
 def test_measures_reference_side_runs_the_kernel_per_measure(tmp_path, monkeypatch):
     small = dataclasses.replace(scale.POINTS["measures-er-4000"], n=300)
     passes = []
