@@ -12,11 +12,11 @@ probability weight over the weight still open) on the weights frozen at the
 start of the step.  A batch that needs every positive-weight non-edge takes
 them all and draws the rest uniformly; a map with no positive weight falls
 back to uniform attachment with a logged notice.  Sweeps carry the
-shared-neighbour pairs and counts from step to step and update them from
-each step's new edges D, by (A + D)^2 = A^2 + DA + AD + D^2; only the first
-step builds them from ``A @ A``.  The counts are exact integers, so each step
-sees the weights a rebuild would give.  Each weighting has one draw, used at
-every n:
+shared-neighbour pairs and counts from step to step: ``add_edges`` updates
+them from the codes D it drew, by (A + D)^2 = A^2 + DA + AD + D^2, and only
+the sweep's start builds them from ``A @ A``.  The counts are exact
+integers, so each step sees the weights a rebuild would give.  Each
+weighting has one draw, used at every n:
 
 * uniform (random, top-ups, fallbacks): distinct ranks among the open pairs,
   mapped to pair codes in O(m + count) without listing them;
@@ -100,17 +100,10 @@ def _find(a: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return pos, a[pos.clip(max=a.size - 1)] == x
 
 
-def _row_codes(g: Graph, rows: np.ndarray) -> np.ndarray:
-    """Ascending codes u * n + v over the edges {u, v} of g with u in the
-    ascending array ``rows`` (v may be below u)."""
-    deg = g.degrees[rows]
-    return np.repeat(rows, deg) * g.n + g.indices[_ranges(g.indptr[rows], deg)]
-
-
 class _SharedPairs:
     """The non-adjacent pairs of a graph with >= 1 shared neighbour: their
     ascending ``codes`` and shared ``counts`` (exact integers in float64).
-    A sweep builds one from ``A @ A`` and grows it with its graph."""
+    A sweep builds one from ``A @ A``; ``add_edges`` grows it."""
 
     def __init__(self, g: Graph) -> None:
         from scipy import sparse
@@ -154,16 +147,15 @@ class _SharedPairs:
         del deg_sum
         return np.divide(counts, union, out=union)
 
-    def grow(self, g: Graph, h: Graph) -> None:
-        """Update the pairs of g to those of h, g plus some new edges D:
-        (A + D)^2 = A^2 + DA + AD + D^2, so a pair gains one count per
-        two-hop path through a new edge.  Each array is replaced as soon as
-        its update is ready, so the old one can go."""
+    def grow(self, g: Graph, new: np.ndarray, codes: np.ndarray) -> None:
+        """Update the pairs of g to those of h, g plus the new edges D with
+        codes ``new`` (u < v, any order), where ``codes`` are h's ascending
+        edge codes: (A + D)^2 = A^2 + DA + AD + D^2, so a pair gains one
+        count per two-hop path through a new edge.  Each array is replaced
+        as soon as its update is ready, so the old one can go."""
         n = g.n
-        rows = np.flatnonzero(h.degrees != g.degrees)  # the ends of the new edges
-        ends = _row_codes(h, rows)
-        ends = ends[~_find(_row_codes(g, rows), ends)[1]]
-        centre, outer = np.divmod(ends, n)  # each new edge from both ends, ascending
+        # each new edge from both ends, ascending
+        centre, outer = np.divmod(np.sort(np.concatenate((new, new % n * n + new // n))), n)
         # paths outer - centre - x through a new edge and an old one
         a = np.repeat(outer, g.degrees[centre])
         b = g.indices[_ranges(g.indptr[centre], g.degrees[centre])]
@@ -175,14 +167,14 @@ class _SharedPairs:
         starts = np.flatnonzero(np.diff(paths, prepend=-1))
         gained, gain = paths[starts], np.diff(np.r_[starts, paths.size]).astype(np.float64)
         # drop the pairs that became edges, then merge in the gains
-        pos, found = _find(self.codes, ends[centre < outer])
+        pos, found = _find(self.codes, new)
         self.codes = np.delete(self.codes, pos[found])
         self.counts = np.delete(self.counts, pos[found])
         pos, hit = _find(self.codes, gained)
         self.counts[pos[hit]] += gain[hit]
         # a gained pair not carried is an edge of h or has its first shared neighbour
         fresh = ~hit
-        fresh[fresh] = ~_find(h.codes(), gained[fresh])[1]
+        fresh[fresh] = ~_find(codes, gained[fresh])[1]
         self.codes = np.insert(self.codes, pos[fresh], gained[fresh])
         self.counts = np.insert(self.counts, pos[fresh], gain[fresh])
 
@@ -279,8 +271,8 @@ def add_edges(g: Graph, mechanism: str, count: int, seed: int, *,
     """New graph with ``count`` extra edges drawn by the given mechanism.
 
     ``pairs`` holds g's shared-neighbour pairs and counts, as a sweep
-    carries them; similarity and combined build them from g when it is
-    omitted, and the other mechanisms ignore it.
+    carries them, and is grown to those of the new graph from the edges
+    drawn; similarity and combined build them from g when it is omitted.
     """
     if mechanism not in MECHANISMS:
         raise ValueError(f"unknown mechanism {mechanism!r}")
@@ -301,6 +293,8 @@ def add_edges(g: Graph, mechanism: str, count: int, seed: int, *,
     codes = sorted_unique(np.concatenate((g.codes(), new)))
     if codes.size != g.m + count:
         raise AssertionError("attachment produced an overlapping edge")
+    if pairs is not None:
+        pairs.grow(g, new, codes)
     return from_codes(g.n, codes, labels=g.labels)
 
 
@@ -331,9 +325,9 @@ def density_sweep(
 
     Each step draws on the weights of the graph it starts from; the measure
     is recorded after each step, including the f=0 baseline.  Similarity
-    and combined carry the shared-neighbour pairs and counts from step to
-    step, updated from each step's new edges, and build them from ``A @ A``
-    only before the first step.
+    and combined build the shared-neighbour pairs and counts from ``A @ A``
+    once, before the first step, and ``add_edges`` grows them from each
+    step's new edges.
     """
     if mechanism not in MECHANISMS:
         raise ValueError(f"unknown mechanism {mechanism!r}")
@@ -345,18 +339,12 @@ def density_sweep(
     m0 = g.m
     master = np.random.default_rng(seed)
     step_seeds = master.integers(0, 2**63, size=len(fr))
-    shared = mechanism in ("similarity", "combined")
-    cur, pairs = g, None
+    pairs = _SharedPairs(g) if mechanism in ("similarity", "combined") else None
+    cur = g
     steps: list[SweepStep] = []
     for i, f in enumerate(fr):
-        target = int(round(m0 * (1.0 + f)))
-        need = target - cur.m
+        need = int(round(m0 * (1.0 + f))) - cur.m
         if need > 0:
-            if shared and pairs is None:
-                pairs = _SharedPairs(cur)
-            nxt = add_edges(cur, mechanism, need, int(step_seeds[i]), pairs=pairs)
-            if shared:
-                pairs.grow(cur, nxt)
-            cur = nxt
+            cur = add_edges(cur, mechanism, need, int(step_seeds[i]), pairs=pairs)
         steps.append(SweepStep(f, cur.m, nhc_global(cur)))
     return SweepTrace(mechanism=mechanism, base_id=base_id, steps=tuple(steps))

@@ -6,7 +6,8 @@ Four families:
 * ``rgg``  -- n uniform points in the unit hypercube; pairs ranked by
   inverse Euclidean distance; the top m = round(d * n(n-1)/2) become edges.
 * ``rhgg`` -- as rgg but pair weight is (s_i + s_j) / dist with lognormal
-  node strengths, mixing geometry with a degree hierarchy.
+  node strengths, mixing geometry with a degree hierarchy.  rgg is drawn
+  as rhgg with every strength 1, which ranks pairs as 1 / dist does.
 * ``rhg``  -- degree-preserving randomisation of an rhgg sample
   (configuration model: stub pairing repaired into a simple graph).
 
@@ -178,14 +179,10 @@ def _distinct_points(n: int, dims: int, rng: np.random.Generator) -> np.ndarray:
     """
     pts = rng.random((n, dims))
     while True:
-        _, inverse, counts = np.unique(pts, axis=0, return_inverse=True, return_counts=True)
-        if (counts == 1).all():
+        kept = np.unique(pts, axis=0, return_index=True)[1]  # each group's lowest id
+        if kept.size == n:
             return pts
-        redo: list[np.ndarray] = []
-        for group in np.flatnonzero(counts > 1):
-            members = np.flatnonzero(inverse == group)
-            redo.append(members[1:])
-        bad = np.sort(np.concatenate(redo))
+        bad = np.setdiff1d(np.arange(n), kept, assume_unique=True)
         pts[bad] = rng.random((bad.size, dims))
 
 
@@ -214,8 +211,8 @@ _RADIUS_SLACK = 1e-9
 
 
 def _pair_weights(pts: np.ndarray, u: np.ndarray, v: np.ndarray,
-                  strengths: np.ndarray | None) -> np.ndarray:
-    """Weight of each pair (u, v): 1 / dist, times s_u + s_v with strengths.
+                  strengths: np.ndarray) -> np.ndarray:
+    """Weight of each pair (u, v): (s_u + s_v) / dist.
 
     Always this float expression, so that ties between weights cannot move.
     Small chunks keep the temporaries in cache and in reused heap.
@@ -225,19 +222,19 @@ def _pair_weights(pts: np.ndarray, u: np.ndarray, v: np.ndarray,
         a, b = u[k:k + _CHUNK], v[k:k + _CHUNK]
         diff = np.take(pts, a, axis=0) - np.take(pts, b, axis=0)
         inv = 1.0 / np.sqrt(np.einsum("pq,pq->p", diff, diff))
-        out[k:k + _CHUNK] = inv if strengths is None else inv * (strengths[a] + strengths[b])
+        out[k:k + _CHUNK] = inv * (strengths[a] + strengths[b])
     return out
 
 
-def _weight_floor(pts: np.ndarray, m: int, strengths: np.ndarray | None) -> float:
+def _weight_floor(pts: np.ndarray, m: int, strengths: np.ndarray) -> float:
     """A weight that probably at least m pairs reach, read off the pairs among
     the first k points (uniform and independent, so a fair sample of pairs).
 
     The sample is at most 1/16 of all pairs.  Its share of pairs at the
     floor exceeds the target share m / C(n, 2) by four standard errors: a
     Poisson term, plus the first Hoeffding term of a U-statistic, since
-    sample pairs share nodes (their spread of counts; large for rhgg's
-    heavy nodes and rgg's corner points).
+    sample pairs share nodes (their spread of counts; large for heavy nodes
+    and, at equal strengths, for corner points).
     """
     n = pts.shape[0]
     k = min(_SAMPLE_POINTS, max(2, n // 4))
@@ -254,13 +251,9 @@ def _weight_floor(pts: np.ndarray, m: int, strengths: np.ndarray | None) -> floa
     return floor_at(math.ceil((share + 4.0 * se) * w.size) + 1)
 
 
-def _strength_groups(n: int, strengths: np.ndarray | None) -> list[tuple[np.ndarray, float]]:
+def _strength_groups(strengths: np.ndarray) -> list[tuple[np.ndarray, float]]:
     """(ascending members, largest strength) of each log-strength bucket of
-    ratio sqrt 2.  rgg is one bucket of strength 1/2, so that every pair's
-    strength sum is 1.
-    """
-    if strengths is None:
-        return [(np.arange(n), 0.5)]
+    ratio sqrt 2."""
     key = np.floor(2.0 * np.log2(strengths))
     order = np.argsort(key, kind="stable")
     groups = np.split(order, np.flatnonzero(np.diff(key[order])) + 1)
@@ -293,13 +286,13 @@ def _candidates(pts, strengths, groups, trees, floor: float) -> tuple[np.ndarray
             keep = w >= floor
             codes.append(u[keep] * np.int64(n) + v[keep])
             weights.append(w[keep])
-    if len(codes) == 1:  # rgg, or rhgg with one strength bucket
+    if len(codes) == 1:  # one strength bucket, as at sigma = 0
         return codes[0], weights[0]
     return np.concatenate(codes), np.concatenate(weights)
 
 
-def _geometric_top_m(pts: np.ndarray, m: int, strengths: np.ndarray | None) -> np.ndarray:
-    """Codes of the m heaviest pairs by inverse-distance weight, in no
+def _geometric_top_m(pts: np.ndarray, m: int, strengths: np.ndarray) -> np.ndarray:
+    """Codes of the m heaviest pairs by weight (s_i + s_j) / dist, in no
     particular order, without an all-pairs scan.
 
     A weight floor is sized from a sample of pairs and lowered until at least
@@ -312,7 +305,7 @@ def _geometric_top_m(pts: np.ndarray, m: int, strengths: np.ndarray | None) -> n
     n, dims = pts.shape
     if m == 0:
         return np.empty(0, np.int64)
-    groups = _strength_groups(n, strengths)
+    groups = _strength_groups(strengths)
     trees = [cKDTree(pts[g]) for g, _ in groups]
     floor = _weight_floor(pts, m, strengths)
     while True:
@@ -338,11 +331,13 @@ def _check_geometric(n: int, density: float, dims: int) -> None:
 
 
 def gen_rgg(n: int, density: float, seed: int, dims: int = 3) -> Graph:
-    """Geometric graph: the m closest pairs of n uniform points are edges."""
-    _check_geometric(n, density, dims)
-    rng = np.random.default_rng(seed)
-    pts = _distinct_points(n, dims, rng)
-    return from_codes(n, np.sort(_geometric_top_m(pts, _pair_target(n, density), None)))
+    """Geometric graph: the m closest pairs of n uniform points are edges.
+
+    It is :func:`gen_rhgg` at sigma = 0: with every strength 1 each weight
+    is exactly 2 / dist, so weights, floors, radii and ties rank as 1 / dist
+    does.
+    """
+    return gen_rhgg(n, density, seed, dims, lognormal_sigma=0.0)
 
 
 def gen_rhgg(
@@ -355,8 +350,8 @@ def gen_rhgg(
 ) -> Graph:
     """Geometric graph with lognormal strengths: weight (s_i + s_j) / dist.
 
-    Coordinates are drawn before strengths, so at sigma=0 the edge set
-    coincides with :func:`gen_rgg` for the same seed.
+    Coordinates are drawn before strengths, and at sigma=0 no strength is
+    drawn, so :func:`gen_rgg` is this at sigma=0 and mu=0.
     """
     return from_codes(n, np.sort(
         _rhgg_pairs(n, density, seed, dims, lognormal_mu, lognormal_sigma)))

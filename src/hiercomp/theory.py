@@ -62,10 +62,6 @@ class BinomialDistribution:
         cdf[-1] = 1.0
         self._cdf = cdf
 
-    @property
-    def support(self) -> tuple[int, int]:
-        return (0, self.n_trials)
-
     def pmf(self, x):
         x = np.asarray(x)
         inside = (x >= 0) & (x <= self.n_trials)
@@ -90,8 +86,6 @@ class BinomialDistribution:
 
 class UniformDistribution:
     """Continuous uniform on [0, 1]; diagnostic reference distribution."""
-
-    support = (0.0, 1.0)
 
     def pmf(self, x):
         x = np.asarray(x, dtype=np.float64)

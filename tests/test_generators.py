@@ -166,7 +166,7 @@ def test_er_measure_matches_rowwise_draw():
 @pytest.mark.parametrize("n,density", [(40, 0.1), (120, 0.05), (60, 0.5), (30, 0.9)])
 def test_rgg_hits_exact_edge_target(n, density):
     g = gen_rgg(n, density, seed=5)
-    assert g.m == round(density * pair_count(n))
+    assert g.m == generators._pair_target(n, density)
     assert g.n == n
 
 
@@ -209,6 +209,28 @@ def test_rhgg_sigma_zero_matches_rgg():
         assert np.array_equal(a.edge_array(), b.edge_array())
 
 
+class _StubRandom:
+    """Hands out the given draws in turn, checking each requested shape."""
+
+    def __init__(self, *draws):
+        self.draws = [np.asarray(d, dtype=np.float64) for d in draws]
+
+    def random(self, shape):
+        draw = self.draws.pop(0)
+        assert draw.shape == shape
+        return draw.copy()
+
+
+def test_distinct_points_redraws_all_but_the_lowest_id_of_each_duplicate_group():
+    a, b, c = [0.1, 0.2], [0.3, 0.4], [0.5, 0.6]
+    # groups {0, 2, 5} and {1, 4}: ids 2, 4 and 5 redraw in that order; the
+    # redraw gives 4 the point of 3, so 4 redraws again
+    rng = _StubRandom([a, b, a, c, b, a], [[0.7, 0.8], c, [0.9, 0.1]], [[0.2, 0.3]])
+    pts = generators._distinct_points(6, 2, rng)
+    assert pts.tolist() == [a, b, [0.7, 0.8], c, [0.2, 0.3], [0.9, 0.1]]
+    assert not rng.draws
+
+
 def _scaled_floor(scale):
     floor = generators._weight_floor
     return lambda pts, m, strengths: scale * floor(pts, m, strengths)
@@ -223,6 +245,8 @@ def _scaled_floor(scale):
     sample=st.sampled_from([8, 512]),
     floor_scale=st.sampled_from([1.0, 1e3]),
 )
+# m = 253, where round(density * pair_count(n)) gives 252
+@example(n=101, dims=1, sigma=0.0, density=0.05, seed=0, sample=8, floor_scale=1.0)
 @settings(max_examples=150, deadline=None)
 def test_geometric_selection_matches_all_pairs_scan(n, dims, sigma, density, seed, sample,
                                                     floor_scale):
@@ -235,7 +259,7 @@ def test_geometric_selection_matches_all_pairs_scan(n, dims, sigma, density, see
     rng = np.random.default_rng(seed)
     pts = generators._distinct_points(n, dims, rng)
     strengths = rng.lognormal(0.0, sigma, n) if sigma else np.ones(n)
-    m = round(density * pair_count(n))
+    m = generators._pair_target(n, density)
     assert np.array_equal(rgg.codes(), oracle.geometric_top_m_naive(pts, m))
     assert np.array_equal(rhgg.codes(), oracle.geometric_top_m_naive(pts, m, strengths))
     if sigma == 0.0:
