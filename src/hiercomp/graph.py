@@ -91,6 +91,7 @@ def build_graph(edges, n_hint: int | None = None) -> Graph:
     otherwise n = max id + 1.
     """
     uv = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges, dtype=np.int64)
+    del edges  # the del uv below then frees an array the caller no longer holds
     if uv.size == 0:
         if n_hint is None:
             raise ValueError("empty graph: no edges and no n_hint")
@@ -209,13 +210,20 @@ def degree_support_d2(g: Graph) -> np.ndarray:
 
 
 def component_count(g: Graph) -> int:
-    """Number of connected components (isolated nodes count individually)."""
+    """Number of connected components (isolated nodes count individually).
+
+    The adjacency is symmetric, so its strong components are its
+    components: scipy counts them on the CSR as given, with no transpose.
+    Below 2**31 entries the CSR is handed over as int32 with float64
+    weights, the types scipy would otherwise convert it to.
+    """
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import connected_components
 
     if g.n == 0:
         return 0
-    data = np.ones(g.indices.size, dtype=np.int8)
-    a = csr_matrix((data, g.indices, g.indptr), shape=(g.n, g.n))
-    count, _ = connected_components(a, directed=False)
+    ids = np.int32 if g.indices.size < 2**31 else np.int64
+    a = csr_matrix((np.ones(g.indices.size), g.indices.astype(ids), g.indptr.astype(ids)),
+                   shape=(g.n, g.n))
+    count, _ = connected_components(a, directed=True, connection="strong")
     return int(count)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import re
-from collections import Counter
+from collections import Counter, deque
 from fractions import Fraction
 from pathlib import Path
 
@@ -29,6 +29,24 @@ def adjacency(n: int, edges) -> dict[int, set[int]]:
         adj[u].add(v)
         adj[v].add(u)
     return adj
+
+
+def component_count_naive(adj) -> int:
+    """Connected components of an adjacency dict, by breadth-first search."""
+    seen: set[int] = set()
+    count = 0
+    for root in adj:
+        if root in seen:
+            continue
+        count += 1
+        seen.add(root)
+        queue = deque([root])
+        while queue:
+            for v in adj[queue.popleft()]:
+                if v not in seen:
+                    seen.add(v)
+                    queue.append(v)
+    return count
 
 
 def edge_count(adj) -> int:

@@ -203,10 +203,12 @@ def test_rgg_clusters_more_than_er():
 
 
 def test_rhgg_sigma_zero_matches_rgg():
+    """rgg, drawn as rhgg with equal strengths, keeps the m pairs closest by
+    1/dist, the all-pairs scan without strengths."""
     for seed in (0, 7, 123):
-        a = gen_rgg(150, 0.1, seed=seed)
-        b = gen_rhgg(150, 0.1, seed=seed, lognormal_sigma=0.0)
-        assert np.array_equal(a.edge_array(), b.edge_array())
+        pts = generators._distinct_points(150, 3, np.random.default_rng(seed))
+        expected = oracle.geometric_top_m_naive(pts, generators._pair_target(150, 0.1))
+        assert np.array_equal(gen_rgg(150, 0.1, seed).codes(), expected)
 
 
 class _StubRandom:

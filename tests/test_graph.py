@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracle
@@ -144,6 +144,30 @@ def test_component_count():
     assert component_count(build_graph(SIX_EDGES)) == 1
     two = build_graph([(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
     assert component_count(two) == 2
+
+
+@st.composite
+def graphs_in_blocks(draw):
+    """(n, edges) of a graph drawn as up to five blocks of random edges, its
+    ids shuffled: several components, isolated nodes and n = 1 all occur."""
+    sizes = draw(st.lists(st.integers(1, 8), min_size=1, max_size=5))
+    edges, base = [], 0
+    for size in sizes:
+        node = st.integers(base, base + size - 1)
+        edges += draw(st.lists(st.tuples(node, node), max_size=2 * size))
+        base += size
+    ids = draw(st.permutations(range(base)))
+    return base, [(ids[u], ids[v]) for u, v in edges]
+
+
+@given(graphs_in_blocks())
+@example((1, []))
+@example((3, [(0, 0)]))
+@settings(max_examples=300, deadline=None)
+def test_component_count_matches_bfs(case):
+    n, edges = case
+    g = build_graph(np.array(edges, dtype=np.int64).reshape(-1, 2), n_hint=n)
+    assert component_count(g) == oracle.component_count_naive(oracle.adjacency(n, edges))
 
 
 @given(small_edge_sets())

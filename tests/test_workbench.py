@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +15,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import oracle
+from hiercomp import workbench
 from hiercomp.generators import child_seed, gen_er
 from hiercomp.workbench import (
     NetworkRecord,
@@ -181,6 +183,49 @@ def test_unicode_only_spaces_belong_to_labels(tmp_path):
     assert (g.labels, g.n, g.m) == (("a\u00a0b", "c"), 2, 1)
     with pytest.raises(ValueError, match="malformed line 1"):
         oracle.read_edgelist_naive(p)  # the str-based reference splits at U+00A0
+
+
+def test_byte_classes_are_str_whitespace_and_line_breaks():
+    """The reader's masks hold, for every byte below 0x80, what str.split()
+    takes for a space and str.splitlines() for a line break, and no byte
+    from 0x80 up."""
+    every = np.arange(256, dtype=np.uint8)
+    starts, lens = workbench._tokens(every)
+    space = np.ones(256, dtype=bool)
+    for at, size in zip(starts.tolist(), lens.tolist()):
+        space[at : at + size] = False
+    brk = np.zeros(256, dtype=bool)
+    brk[workbench._line_breaks(every)] = True
+    for b in range(128):
+        assert space[b] == chr(b).isspace(), b
+        assert brk[b] == (len(("a" + chr(b) + "a").splitlines()) == 2), b
+    assert not space[128:].any() and not brk[128:].any()
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+def test_edge_lines_match_fstrings_at_digit_boundaries(dtype):
+    digits = 10 if dtype == np.int32 else 19  # of the dtype's largest value
+    ids = {0, 1, np.iinfo(dtype).max} | {10**j + d for j in range(1, digits) for d in (-1, 0)}
+    ids = np.array(sorted(ids), dtype=dtype)
+    u, v = np.repeat(ids, ids.size), np.tile(ids, ids.size)
+    expected = "".join(f"{a} {b}\n" for a, b in zip(u.tolist(), v.tolist()))
+    assert workbench._edge_lines(u, v).tobytes().decode() == expected
+    assert workbench._edge_lines(u[:0], v[:0]).size == 0
+
+
+@pytest.mark.skipif(not Path("/dev/fd").is_dir(), reason="needs /dev/fd")
+def test_reader_reads_a_pipe(tmp_path):
+    """A pipe has no size up front; the reader still reads it whole."""
+    text = "# nodes: 4\na b\nb c\n"
+    read_end, write_end = os.pipe()
+    with os.fdopen(write_end, "w") as fh:
+        fh.write(text)
+    with os.fdopen(read_end, "rb"):
+        g = read_edgelist(f"/dev/fd/{read_end}")
+    path = tmp_path / "same.txt"
+    path.write_text(text)
+    h = read_edgelist(path)
+    assert (g.labels, g.n, g.m) == (h.labels, h.n, h.m) == (("a", "b", "c"), 4, 2)
 
 
 def test_non_utf8_file_rejected(tmp_path):
