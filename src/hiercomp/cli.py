@@ -22,8 +22,8 @@ import sys
 from pathlib import Path
 
 from .complexity import complexity_report
-from .experiments import RunManifest, rank_directory, run_experiment
-from .generators import ModelSpec, generate
+from .experiments import EXPERIMENTS, RunManifest, _csv_text, rank_directory, run_experiment
+from .generators import FAMILIES, ModelSpec, generate
 from .theory import nhc_global_approx
 from .workbench import read_edgelist, write_edgelist
 
@@ -41,7 +41,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", default=None, help="write JSON here instead of stdout")
 
     p = sub.add_parser("generate", help="draw a model graph, write its edge list")
-    p.add_argument("--family", required=True, choices=("er", "rgg", "rhgg", "rhg"))
+    p.add_argument("--family", required=True, choices=FAMILIES)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--p", type=float, default=None, help="edge probability (er)")
     p.add_argument("--density", type=float, default=None, help="target density")
@@ -59,7 +59,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", default=None, help="write CSV here instead of stdout")
 
     p = sub.add_parser("sweep", help="run a named experiment from a manifest")
-    p.add_argument("experiment", choices=("fig2", "fig3", "fig4", "fig5"))
+    p.add_argument("experiment", choices=sorted(EXPERIMENTS))
     p.add_argument("--manifest", required=True)
     p.add_argument("--output-dir", default="out")
 
@@ -114,10 +114,7 @@ def _cmd_generate(args) -> int:
 
 def _cmd_theory(args) -> int:
     approx = nhc_global_approx(args.n, args.p, minmax_quantile=args.minmax_quantile)
-    lines = ["degree,value"]
-    lines.extend(f"{k},{v!r}" for k, v in approx.to_rows())
-    text = "\n".join(lines) + "\n"
-    _emit(text, args.output)
+    _emit(_csv_text(["degree", "value"], approx.to_rows()), args.output)
     print(
         f"global={approx.global_value!r} degree_range=[{approx.degree_low},{approx.degree_high}]"
         f" dropped_terms={approx.dropped_terms}",
@@ -139,14 +136,10 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_rank(args) -> int:
-    rows = rank_directory(args.directory)
-    lines = ["name,n,m,density,R,R_hat,rank_R,rank_R_hat"]
-    for rec, rank_r, rank_rhat in rows:
-        lines.append(
-            f"{rec.name},{rec.n},{rec.m},{rec.d!r},{rec.R!r},{rec.R_hat!r},{rank_r},{rank_rhat}"
-        )
-    text = "\n".join(lines) + "\n"
-    _emit(text, args.output)
+    rows = [(rec.name, rec.n, rec.m, rec.d, rec.R, rec.R_hat, rank_r, rank_rhat)
+            for rec, rank_r, rank_rhat in rank_directory(args.directory)]
+    header = ["name", "n", "m", "density", "R", "R_hat", "rank_R", "rank_R_hat"]
+    _emit(_csv_text(header, rows), args.output)
     return 0
 
 

@@ -10,7 +10,11 @@ Experiments are named presets selected by a :class:`RunManifest`:
 * ``fig5`` -- attachment sweep: density growth under each mechanism over a
   set of base graphs.
 
-Realisations fan out over processes when ``workers`` > 1 (or the
+Each task is a tuple that leads with the manifest ``m`` and reads every
+setting from it: ``(m, family, idx)`` for fig2, ``(m, i)`` for fig3's grid
+point i, ``(m, idx)`` for fig4 and ``(m, b, mech_idx, base_id, g)`` for fig5.
+
+Tasks fan out over processes when ``workers`` > 1 (or the
 HIERCOMP_WORKERS env var); per-realisation seeds are derived from
 (seed, family, index) so serial and parallel runs emit identical bytes.
 """
@@ -19,8 +23,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import numbers
 import os
+import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -29,14 +35,22 @@ import numpy as np
 
 from .attachment import DEFAULT_FRACTIONS, MECHANISMS, density_sweep
 from .complexity import complexity_report, nhc_alt_sqrtk, nhc_global
-from .generators import ModelSpec, child_seed, gen_er, generate
+from .generators import FAMILIES, ModelSpec, child_seed, gen_er, generate
 from .graph import Graph
 from .theory import nhc_global_approx
 from .workbench import NetworkRecord, read_edgelist, record_for
 
 __all__ = ["RunManifest", "run_experiment", "rank_directory", "EXPERIMENTS"]
 
-_FAMILY_INDEX = {"er": 0, "rgg": 1, "rhgg": 2, "rhg": 3}
+# least value of each integer setting, and the closed range of each real one
+_INT_FLOORS = {"seed": 0, "realisations": 0, "n": 1, "dims": 1, "seeds_per_point": 1,
+               "base_count": 0, "workers": 0}
+_REAL_RANGES = {"lognormal_mu": (-math.inf, math.inf), "lognormal_sigma": (0.0, math.inf),
+                "base_density": (0.0, 1.0)}
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
 
 
 @dataclass(frozen=True)
@@ -46,7 +60,7 @@ class RunManifest:
     experiment: str
     seed: int = 0
     realisations: int = 100
-    families: tuple[str, ...] = ("er", "rgg", "rhgg", "rhg")
+    families: tuple[str, ...] = FAMILIES
     n_range: tuple[int, int] = (50, 5000)
     density_range: tuple[float, float] = (0.0, 1.0)
     n: int = 1000
@@ -64,31 +78,36 @@ class RunManifest:
     workers: int = 0
 
     def __post_init__(self) -> None:
-        for key, known in (("families", _FAMILY_INDEX), ("mechanisms", MECHANISMS)):
+        if not isinstance(self.experiment, str) or self.experiment not in EXPERIMENTS:
+            raise ValueError(f"unknown experiment {self.experiment!r}")
+        for key, lo in _INT_FLOORS.items():
+            v = getattr(self, key)
+            if type(v) is not int or v < lo:
+                raise ValueError(f"{key}: expected an integer >= {lo}, got {v!r}")
+        for key, (lo, hi) in _REAL_RANGES.items():
+            v = getattr(self, key)
+            if not (_is_number(v) and math.isfinite(v) and lo <= v <= hi):
+                raise ValueError(f"{key}: expected a finite number in [{lo}, {hi}], got {v!r}")
+        for key, known in (("families", FAMILIES), ("mechanisms", MECHANISMS)):
             bad = [v for v in getattr(self, key) if v not in known]
             if bad:
                 raise ValueError(f"{key}: unknown {bad}, expected some of {list(known)}")
         for key in ("n_range", "density_range", "sigma_range"):
             v = getattr(self, key)
             ok = (isinstance(v, (tuple, list)) and len(v) == 2
-                  and all(isinstance(x, numbers.Real) and not isinstance(x, bool) for x in v)
-                  and v[0] <= v[1])
+                  and all(_is_number(x) for x in v) and v[0] <= v[1])
             if not ok:
                 raise ValueError(f"{key}: expected two ordered numbers [lo, hi], got {v!r}")
 
     @classmethod
     def from_json(cls, path) -> "RunManifest":
         raw = json.loads(Path(path).read_text())
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(raw) - known
+        if not isinstance(raw, dict) or "experiment" not in raw:
+            raise ValueError("manifest: expected a JSON object with an experiment key")
+        unknown = set(raw) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown manifest keys: {sorted(unknown)}")
-        manifest = cls(**{
-            k: _freeze(v) for k, v in raw.items()
-        })
-        if manifest.experiment not in EXPERIMENTS:
-            raise ValueError(f"unknown experiment {manifest.experiment!r}")
-        return manifest
+        return cls(**{k: _freeze(v) for k, v in raw.items()})
 
     def canonical_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
@@ -122,14 +141,19 @@ def _pmap(fn, items, workers: int):
         return list(ex.map(fn, items, chunksize=chunk))
 
 
-def _fmt(v) -> str:
-    return repr(float(v)) if isinstance(v, float) else str(v)
+_NEEDS_QUOTES = re.compile(r'[,"\r\n]')
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(c) for c in row) for row in rows)
-    path.write_text("\n".join(lines) + "\n")
+def _csv_field(v) -> str:
+    text = repr(float(v)) if isinstance(v, float) else str(v)
+    if _NEEDS_QUOTES.search(text):  # RFC 4180
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _csv_text(header, rows) -> str:
+    """CSV text, one line per row: floats by repr, the rest by str, quoted where needed."""
+    return "".join(",".join(map(_csv_field, row)) + "\n" for row in [header, *rows])
 
 
 def _write_sidecar(out_dir: Path, manifest: RunManifest, outputs: list[str]) -> Path:
@@ -147,38 +171,30 @@ def _write_sidecar(out_dir: Path, manifest: RunManifest, outputs: list[str]) -> 
 # fig2: model sweep
 
 
-def _model_sweep_task(args):
-    family, idx, seed, n_range, d_range, dims, mu, sig = args
-    rng = np.random.default_rng(child_seed(seed, _FAMILY_INDEX[family], idx, 0))
-    n = int(rng.integers(n_range[0], n_range[1] + 1))
-    d = float(rng.uniform(d_range[0], d_range[1]))
-    spec = ModelSpec(
-        family=family, n=n, target=d, dims=dims,
-        lognormal_mu=mu, lognormal_sigma=sig,
-        seed=child_seed(seed, _FAMILY_INDEX[family], idx, 1),
-    )
-    g = generate(spec)
-    return (
-        family, idx, n, d, g.density,
-        nhc_global(g), nhc_alt_sqrtk(g, sqrt_m=False), nhc_alt_sqrtk(g, sqrt_m=True),
-    )
-
-
-def run_fig2(manifest: RunManifest, out_dir: Path) -> list[str]:
-    tasks = [
-        (family, idx, manifest.seed, manifest.n_range, manifest.density_range,
-         manifest.dims, manifest.lognormal_mu, manifest.lognormal_sigma)
-        for family in manifest.families
-        for idx in range(manifest.realisations)
+def _model_sweep_task(task):
+    m, family, idx = task
+    f = FAMILIES.index(family)
+    rng = np.random.default_rng(child_seed(m.seed, f, idx, 0))
+    n = int(rng.integers(m.n_range[0], m.n_range[1] + 1))
+    d = float(rng.uniform(m.density_range[0], m.density_range[1]))
+    g = generate(ModelSpec(
+        family=family, n=n, target=d, dims=m.dims, lognormal_mu=m.lognormal_mu,
+        lognormal_sigma=m.lognormal_sigma, seed=child_seed(m.seed, f, idx, 1),
+    ))
+    head = (family, idx, n, d, g.density)
+    return [
+        (*head, "nhc", nhc_global(g)),
+        (*head, "nhc_sqrtk", nhc_alt_sqrtk(g, sqrt_m=False)),
+        (*head, "nhc_sqrtk_sqrtm", nhc_alt_sqrtk(g, sqrt_m=True)),
     ]
-    results = _pmap(_model_sweep_task, tasks, manifest.resolved_workers())
-    rows = []
-    for family, idx, n, d_target, d, base, v1, v2 in results:
-        rows.append((family, idx, n, d_target, d, "nhc", base))
-        rows.append((family, idx, n, d_target, d, "nhc_sqrtk", v1))
-        rows.append((family, idx, n, d_target, d, "nhc_sqrtk_sqrtm", v2))
+
+
+def run_fig2(m: RunManifest, out_dir: Path) -> list[str]:
+    tasks = [(m, family, idx) for family in m.families for idx in range(m.realisations)]
+    rows = [row for rows in _pmap(_model_sweep_task, tasks, m.resolved_workers()) for row in rows]
     path = out_dir / "fig2.csv"
-    _write_csv(path, ["family", "realisation", "n", "target_density", "density", "measure", "value"], rows)
+    path.write_text(_csv_text(
+        ["family", "realisation", "n", "target_density", "density", "measure", "value"], rows))
     return [path.name]
 
 
@@ -186,27 +202,23 @@ def run_fig2(manifest: RunManifest, out_dir: Path) -> list[str]:
 # fig3: theory vs simulation
 
 
-def _theory_point_task(args):
-    n, p, seed, point_idx, seeds_per_point = args
-    sims = []
-    for r in range(seeds_per_point):
-        g = gen_er(n, p, child_seed(seed, 100 + point_idx, r))
-        sims.append(nhc_global(g))
+def _theory_point_task(task):
+    m, i = task
+    n, p = int(m.grid[i][0]), float(m.grid[i][1])
+    sims = np.asarray([
+        nhc_global(gen_er(n, p, child_seed(m.seed, 100 + i, r))) for r in range(m.seeds_per_point)
+    ])
     theory = nhc_global_approx(n, p).global_value
-    arr = np.asarray(sims)
-    mean = float(arr.mean())
+    mean = float(sims.mean())
     rel = abs(theory - mean) / mean if mean else float("inf")
-    return (n, p, theory, mean, float(arr.std(ddof=1)) if len(sims) > 1 else 0.0, len(sims), rel)
+    sd = float(sims.std(ddof=1)) if len(sims) > 1 else 0.0
+    return (n, p, theory, mean, sd, len(sims), rel)
 
 
-def run_fig3(manifest: RunManifest, out_dir: Path) -> list[str]:
-    tasks = [
-        (int(n), float(p), manifest.seed, i, manifest.seeds_per_point)
-        for i, (n, p) in enumerate(manifest.grid)
-    ]
-    rows = _pmap(_theory_point_task, tasks, manifest.resolved_workers())
+def run_fig3(m: RunManifest, out_dir: Path) -> list[str]:
+    rows = _pmap(_theory_point_task, [(m, i) for i in range(len(m.grid))], m.resolved_workers())
     path = out_dir / "fig3.csv"
-    _write_csv(path, ["n", "p", "theory", "sim_mean", "sim_sd", "seeds", "rel_error"], rows)
+    path.write_text(_csv_text(["n", "p", "theory", "sim_mean", "sim_sd", "seeds", "rel_error"], rows))
     return [path.name]
 
 
@@ -214,33 +226,28 @@ def run_fig3(manifest: RunManifest, out_dir: Path) -> list[str]:
 # fig4: heterogeneity sweep
 
 
-def _heterogeneity_task(args):
-    idx, seed, n, d_range, sigma_range, dims, mu = args
-    rng = np.random.default_rng(child_seed(seed, 200, idx, 0))
-    d = float(rng.uniform(d_range[0], d_range[1]))
-    sig = float(rng.uniform(sigma_range[0], sigma_range[1]))
-    spec = ModelSpec(
-        family="rhgg", n=n, target=d, dims=dims, lognormal_mu=mu,
-        lognormal_sigma=sig, seed=child_seed(seed, 200, idx, 1),
-    )
-    rep = complexity_report(generate(spec))
+def _heterogeneity_task(task):
+    m, idx = task
+    rng = np.random.default_rng(child_seed(m.seed, 200, idx, 0))
+    d = float(rng.uniform(m.density_range[0], m.density_range[1]))
+    sig = float(rng.uniform(m.sigma_range[0], m.sigma_range[1]))
+    rep = complexity_report(generate(ModelSpec(
+        family="rhgg", n=m.n, target=d, dims=m.dims, lognormal_mu=m.lognormal_mu,
+        lognormal_sigma=sig, seed=child_seed(m.seed, 200, idx, 1),
+    )))
     profile = [(idx, k, ell, nk) for k, (_, nk, ell) in sorted(rep.per_degree.items())]
     return (idx, sig, d, rep.density, rep.global_normalised), profile
 
 
-def run_fig4(manifest: RunManifest, out_dir: Path) -> list[str]:
-    tasks = [
-        (idx, manifest.seed, manifest.n, manifest.density_range,
-         manifest.sigma_range, manifest.dims, manifest.lognormal_mu)
-        for idx in range(manifest.realisations)
-    ]
-    results = _pmap(_heterogeneity_task, tasks, manifest.resolved_workers())
-    main = [r[0] for r in results]
-    profile = [row for r in results for row in r[1]]
+def run_fig4(m: RunManifest, out_dir: Path) -> list[str]:
+    results = _pmap(_heterogeneity_task, [(m, idx) for idx in range(m.realisations)],
+                    m.resolved_workers())
     p1 = out_dir / "fig4.csv"
     p2 = out_dir / "fig4_profile.csv"
-    _write_csv(p1, ["realisation", "sigma", "target_density", "density", "value"], main)
-    _write_csv(p2, ["realisation", "degree", "class_size", "value"], profile)
+    p1.write_text(_csv_text(["realisation", "sigma", "target_density", "density", "value"],
+                            [main for main, _ in results]))
+    p2.write_text(_csv_text(["realisation", "degree", "class_size", "value"],
+                            [row for _, profile in results for row in profile]))
     return [p1.name, p2.name]
 
 
@@ -248,39 +255,29 @@ def run_fig4(manifest: RunManifest, out_dir: Path) -> list[str]:
 # fig5: attachment sweep
 
 
-def _attachment_task(args):
-    base_id, g, mechanism, fractions, seed = args
-    trace = density_sweep(g, mechanism, fractions=fractions, seed=seed, base_id=base_id)
+def _attachment_task(task):
+    m, b, mech_idx, base_id, g = task
+    trace = density_sweep(g, m.mechanisms[mech_idx], fractions=m.fractions,
+                          seed=child_seed(m.seed, 400, b, mech_idx), base_id=base_id)
     return [(trace.base_id, trace.mechanism, s.fraction, s.edge_count, s.value) for s in trace.steps]
 
 
-def _fig5_bases(manifest: RunManifest) -> list[tuple[str, Graph]]:
-    if manifest.inputs:
-        return [(Path(p).stem, read_edgelist(p)) for p in manifest.inputs]
-    bases = []
-    for b in range(manifest.base_count):
-        spec = ModelSpec(
-            family="rhgg", n=manifest.n, target=manifest.base_density,
-            dims=manifest.dims, lognormal_mu=manifest.lognormal_mu,
-            lognormal_sigma=manifest.lognormal_sigma,
-            seed=child_seed(manifest.seed, 300, b),
-        )
-        bases.append((f"rhgg-{b}", generate(spec)))
-    return bases
+def _fig5_bases(m: RunManifest) -> list[tuple[str, Graph]]:
+    if m.inputs:
+        return [(Path(p).stem, read_edgelist(p)) for p in m.inputs]
+    return [(f"rhgg-{b}", generate(ModelSpec(
+        family="rhgg", n=m.n, target=m.base_density, dims=m.dims, lognormal_mu=m.lognormal_mu,
+        lognormal_sigma=m.lognormal_sigma, seed=child_seed(m.seed, 300, b),
+    ))) for b in range(m.base_count)]
 
 
-def run_fig5(manifest: RunManifest, out_dir: Path) -> list[str]:
-    tasks = []
-    for b, (base_id, g) in enumerate(_fig5_bases(manifest)):
-        for mech_idx, mech in enumerate(manifest.mechanisms):
-            tasks.append((
-                base_id, g, mech, manifest.fractions,
-                child_seed(manifest.seed, 400, b, mech_idx),
-            ))
-    results = _pmap(_attachment_task, tasks, manifest.resolved_workers())
-    rows = [row for block in results for row in block]
+def run_fig5(m: RunManifest, out_dir: Path) -> list[str]:
+    tasks = [(m, b, mech_idx, base_id, g)
+             for b, (base_id, g) in enumerate(_fig5_bases(m))
+             for mech_idx in range(len(m.mechanisms))]
+    rows = [row for rows in _pmap(_attachment_task, tasks, m.resolved_workers()) for row in rows]
     path = out_dir / "fig5.csv"
-    _write_csv(path, ["base", "mechanism", "fraction", "edges", "value"], rows)
+    path.write_text(_csv_text(["base", "mechanism", "fraction", "edges", "value"], rows))
     return [path.name]
 
 
@@ -289,8 +286,6 @@ EXPERIMENTS = {"fig2": run_fig2, "fig3": run_fig3, "fig4": run_fig4, "fig5": run
 
 def run_experiment(manifest: RunManifest, out_dir) -> list[Path]:
     """Run one named experiment; returns the written files (sidecar last)."""
-    if manifest.experiment not in EXPERIMENTS:
-        raise ValueError(f"unknown experiment {manifest.experiment!r}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     outputs = EXPERIMENTS[manifest.experiment](manifest, out)
@@ -312,8 +307,8 @@ def rank_directory(directory) -> list[tuple[NetworkRecord, int, int]]:
     if not files:
         raise ValueError(f"no edge-list files in {directory}")
     records = [record_for(read_edgelist(p), p.stem, str(p)) for p in files]
-    by_r = sorted(records, key=lambda r: (-r.R, r.name))
-    by_rhat = sorted(records, key=lambda r: (-r.R_hat, r.name))
-    rank_r = {r.name: i + 1 for i, r in enumerate(by_r)}
-    rank_rhat = {r.name: i + 1 for i, r in enumerate(by_rhat)}
-    return [(r, rank_r[r.name], rank_rhat[r.name]) for r in by_rhat]
+    # sorted() is stable: ties on (value, name) keep path order
+    by_r = sorted(range(len(records)), key=lambda i: (-records[i].R, records[i].name))
+    by_rhat = sorted(range(len(records)), key=lambda i: (-records[i].R_hat, records[i].name))
+    rank_r = {i: pos + 1 for pos, i in enumerate(by_r)}
+    return [(records[i], rank_r[i], pos + 1) for pos, i in enumerate(by_rhat)]

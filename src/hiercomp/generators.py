@@ -50,6 +50,7 @@ import numpy as np
 from .graph import Graph, _row_starts, complement_codes, from_codes
 
 __all__ = [
+    "FAMILIES",
     "ModelSpec",
     "gen_er",
     "gen_rgg",
@@ -58,7 +59,8 @@ __all__ = [
     "generate",
 ]
 
-_FAMILIES = ("er", "rgg", "rhgg", "rhg")
+# fig2 seeds by a family's index here: the order er, rgg, rhgg, rhg fixes every fig2 seed
+FAMILIES = ("er", "rgg", "rhgg", "rhg")
 
 log = logging.getLogger(__name__)
 
@@ -82,7 +84,7 @@ class ModelSpec:
     degree_sequence: tuple[int, ...] | None = None
 
     def validate(self) -> None:
-        if self.family not in _FAMILIES:
+        if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
         if self.n < 1:
             raise ValueError("n must be positive")

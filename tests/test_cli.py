@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+import argparse
+import csv
 import json
 import logging
 
 import pytest
 
-from hiercomp.cli import main
-from hiercomp.experiments import RunManifest
-from hiercomp.generators import child_seed, gen_er
+from hiercomp.cli import _build_parser, main
+from hiercomp.experiments import EXPERIMENTS, RunManifest
+from hiercomp.generators import FAMILIES, child_seed, gen_er
 from hiercomp.graph import build_graph
 from hiercomp.workbench import read_edgelist, write_edgelist
 
@@ -178,15 +180,44 @@ def test_sweep_experiment_mismatch(tmp_path, capsys):
     ("fig2", {"families": ["er", "bogus"]}, "families"),
     ("fig2", {"n_range": [50]}, "n_range"),
     ("fig5", {"mechanisms": ["random", "bogus"], "fractions": [0.0]}, "mechanisms"),
+    ("fig2", {"workers": "2"}, "workers"),
+    ("fig3", {"realisations": "3"}, "realisations"),
+    ("fig4", {"n": 0}, "n"),
+    ("fig5", {"base_density": 2.0}, "base_density"),
+    ("fig2", 3, "manifest"),  # not an object
+    ("fig2", ["fig2"], "manifest"),
 ])
 def test_sweep_malformed_manifest_exits_2(tmp_path, capsys, experiment, settings, key):
     mpath = tmp_path / "m.json"
-    mpath.write_text(json.dumps({"experiment": experiment, **settings}))
+    if isinstance(settings, dict):
+        settings = {"experiment": experiment, **settings}
+    mpath.write_text(json.dumps(settings))
     out = tmp_path / "out"
     assert main(["sweep", experiment, "--manifest", str(mpath), "--output-dir", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {key}:")
     assert not out.exists()
+
+
+def test_choices_come_from_the_registries():
+    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+
+    def choices(command, dest):
+        return next(a for a in sub.choices[command]._actions if a.dest == dest).choices
+
+    assert tuple(choices("generate", "family")) == FAMILIES
+    assert list(choices("sweep", "experiment")) == sorted(EXPERIMENTS)
+
+
+def test_rank_quotes_names_that_hold_commas(tmp_path, capsys):
+    nets = tmp_path / "nets"
+    nets.mkdir()
+    for i, name in enumerate(("karate,club.txt", 'say "hi".txt', "plain.txt")):
+        write_edgelist(gen_er(30, 0.2 + 0.1 * i, child_seed(0, 5100, i)), nets / name)
+    assert main(["rank", str(nets)]) == 0
+    rows = list(csv.reader(capsys.readouterr().out.splitlines()))
+    assert all(len(r) == 8 for r in rows)
+    assert sorted(r[0] for r in rows[1:]) == ["karate,club", "plain", 'say "hi"']
 
 
 def test_rank_directory_csv(tmp_path, capsys):

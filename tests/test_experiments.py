@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 
 import pytest
 
-from hiercomp.experiments import EXPERIMENTS, RunManifest, rank_directory, run_experiment
+from hiercomp.experiments import (
+    EXPERIMENTS, RunManifest, _csv_text, rank_directory, run_experiment,
+)
 from hiercomp.generators import child_seed, gen_er
 from hiercomp.workbench import write_edgelist
 
@@ -46,20 +50,49 @@ def test_manifest_rejects_unknown_keys(tmp_path):
     ({"n_range": (500, 50)}, "n_range"),
     ({"density_range": (0.1, "0.5")}, "density_range"),
     ({"sigma_range": (0.0, 0.5, 1.0)}, "sigma_range"),
+    ({"workers": "2"}, "workers"),
+    ({"realisations": "3"}, "realisations"),
+    ({"seed": True}, "seed"),
+    ({"seed": -1}, "seed"),
+    ({"base_count": 2.0}, "base_count"),
+    ({"n": 0}, "n"),
+    ({"dims": 0}, "dims"),
+    ({"seeds_per_point": 0}, "seeds_per_point"),
+    ({"lognormal_mu": "0"}, "lognormal_mu"),
+    ({"lognormal_mu": float("nan")}, "lognormal_mu"),
+    ({"lognormal_sigma": -0.1}, "lognormal_sigma"),
+    ({"base_density": 1.5}, "base_density"),
+    ({"base_density": False}, "base_density"),
 ])
 def test_manifest_rejects_malformed_settings_when_built(settings, key):
     with pytest.raises(ValueError, match=f"^{key}:"):
         RunManifest(experiment="fig2", **settings)
 
 
+def test_manifest_accepts_scalar_settings_at_their_bounds():
+    m = RunManifest(experiment="fig5", seed=0, realisations=0, n=1, dims=1,
+                    seeds_per_point=1, base_count=0, workers=0, lognormal_mu=-2,
+                    lognormal_sigma=0.0, base_density=1)
+    assert m.base_density == 1 and m.lognormal_mu == -2
+
+
 def test_manifest_rejects_unknown_experiment(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text('{"experiment": "fig9"}')
-    with pytest.raises(ValueError, match="unknown experiment"):
+    with pytest.raises(ValueError, match="unknown experiment 'fig9'"):
         RunManifest.from_json(p)
+    with pytest.raises(ValueError, match="unknown experiment 'fig9'"):
+        RunManifest(experiment="fig9")
     with pytest.raises(ValueError, match="unknown experiment"):
-        run_experiment(RunManifest(experiment="fig2", seed=0).__class__(
-            experiment="nope"), tmp_path)
+        RunManifest(experiment=["fig2"])
+
+
+@pytest.mark.parametrize("text", ["3", "[]", '"fig2"', "null", '{"seed": 1}'])
+def test_manifest_json_must_be_an_object_with_an_experiment(tmp_path, text):
+    p = tmp_path / "bad.json"
+    p.write_text(text)
+    with pytest.raises(ValueError, match="^manifest: expected a JSON object"):
+        RunManifest.from_json(p)
 
 
 def test_canonical_json_is_stable():
@@ -84,6 +117,18 @@ def test_resolved_workers_env_override(monkeypatch):
 
 def test_experiment_registry_names():
     assert set(EXPERIMENTS) == {"fig2", "fig3", "fig4", "fig5"}
+
+
+def test_csv_text_quotes_fields_that_need_it():
+    names = ["a,b", 'q"x', "line\nbreak", "car\rriage", "plain"]
+    rows = [(name, i, 0.1 * i) for i, name in enumerate(names)]
+    text = _csv_text(["name", "i", "x"], rows)
+    back = list(csv.reader(io.StringIO(text, newline="")))
+    assert back[0] == ["name", "i", "x"]
+    assert back[1:] == [[name, str(i), repr(0.1 * i)] for i, name in enumerate(names)]
+    # a field without , " \r or \n keeps its bytes
+    assert text.endswith("plain,4,0.4\n")
+    assert _csv_text(["h"], []) == "h\n"
 
 
 def test_fig2_rows_and_byte_determinism(tmp_path):
@@ -176,6 +221,17 @@ def test_fig5_explicit_inputs(tmp_path):
     assert len(rows) == 2
 
 
+def test_fig5_input_stem_with_a_comma_is_quoted(tmp_path):
+    src = tmp_path / "karate,club.txt"
+    write_edgelist(gen_er(60, 0.1, child_seed(0, 1235)), src)
+    m = RunManifest(experiment="fig5", inputs=(str(src),), fractions=(0.0,),
+                    mechanisms=("random",))
+    text = run_experiment(m, tmp_path / "out")[0].read_text()
+    rows = list(csv.reader(io.StringIO(text)))
+    assert rows[1][0] == "karate,club" and len(rows[1]) == len(rows[0]) == 5
+    assert text.splitlines()[1].startswith('"karate,club",random,0.0,')
+
+
 def test_sidecar_contents(tmp_path):
     m = small_fig2()
     outputs = run_experiment(m, tmp_path)
@@ -203,6 +259,27 @@ def test_rank_directory_orders_by_measure(tmp_path):
     assert {rec.name: rank_r for rec, rank_r, _ in ranked} == {
         nm: i + 1 for i, nm in enumerate(by_r)
     }
+
+
+def test_rank_directory_files_sharing_a_stem(tmp_path):
+    for i, (name, p) in enumerate((("net.txt", 0.1), ("net.edges", 0.3), ("other.txt", 0.5))):
+        write_edgelist(gen_er(40, p, child_seed(0, 9100, i)), tmp_path / name)
+    ranked = rank_directory(tmp_path)
+    assert sorted(rec.name for rec, _, _ in ranked) == ["net", "net", "other"]
+    assert [rk for _, _, rk in ranked] == [1, 2, 3]
+    assert sorted(rank_r for _, rank_r, _ in ranked) == [1, 2, 3]
+    by_r = sorted(ranked, key=lambda row: (-row[0].R, row[0].name))
+    assert [rank_r for _, rank_r, _ in by_r] == [1, 2, 3]
+
+
+def test_rank_directory_ties_break_by_name_then_path(tmp_path):
+    g = gen_er(40, 0.2, child_seed(0, 9200))
+    for name in ("b.txt", "a.txt", "a.edges"):
+        write_edgelist(g, tmp_path / name)
+    ranked = rank_directory(tmp_path)
+    assert [rec.source_path.rsplit("/", 1)[1] for rec, _, _ in ranked] == [
+        "a.edges", "a.txt", "b.txt"]
+    assert [(rank_r, rank_rhat) for _, rank_r, rank_rhat in ranked] == [(1, 1), (2, 2), (3, 3)]
 
 
 def test_rank_directory_empty(tmp_path):
