@@ -11,8 +11,10 @@ computes it.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
+import shutil
 import sys
 import tempfile
 from pathlib import Path
@@ -23,6 +25,7 @@ if __name__ == "__main__":  # run as a script from a checkout
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from hiercomp.attachment import MECHANISMS, add_edges, edge_weights, non_edge_count
+from hiercomp.cli import main
 from hiercomp.complexity import complexity_report, hc_global, nhc_alt_sqrtk, nhc_global
 from hiercomp.experiments import RunManifest, run_experiment
 from hiercomp.generators import ModelSpec, child_seed, gen_config, gen_er, gen_rgg, gen_rhgg, generate
@@ -79,31 +82,40 @@ GOLDEN_REPORTS = {
     "rhg-90": "d43053a3607ddce844070e1dd352d82e0f4219d8370d5fc76692e91561bd9a71",
 }
 
-# repr of [hc_global, nhc_global, sqrt-k, sqrt-k sqrt-m] at ddof 0, then ddof 1
+# repr of [hc_global, nhc_global, sqrt-k, sqrt-k sqrt-m]
 GOLDEN_MEASURES = {
-    "sixnode": "6d986254b973d5daf586f32358c7c1ef499f1a3d28ae5a4833a8993122577ccc",
-    "er-40": "feda3d2bf4794e5954e593a6682f815434c84f3c04e202400da1ad509d774217",
-    "er-90": "16962a36422eb654868db075cd2305b8836737c774bfd2b6e342da8defe628bd",
-    "rgg-40": "48b4d8f8e26aac0d620af818dfb18bca6e54a1051ccdbda079b321226121eaf1",
-    "rgg-90": "082d0618d7f5b408cdc82eed645468681f25d4cf6e8ad35bdf03198ba849cb95",
-    "rhgg-40": "9ea63192d4229659f9290fb0a496be51ddb07070ab3a16a7a8d0e7bf63e69643",
-    "rhgg-90": "3c8d1300250bfe6b99e55a73e2c55b32e04981cfda57e86455a4950ff3ef261a",
-    "rhg-40": "9292c338dd015d3bbe085ad759a7d6af36183e47800219b3c8a55b3b5eef9d7d",
-    "rhg-90": "cd8238fe499368533c4e9e2c6b7a9bcbd2b0da2909e99579b649b3878c67e924",
+    "sixnode": "6a947695a6f52aeb0b4247c8fdf38dcbea10da499e49cfc06cb8588bc0eee13c",
+    "er-40": "d28e12acc9124b5f0ba14057c627e5185619fdfee21fd2e9d10047226bbed79d",
+    "er-90": "3512030e67ef60a9a71d077ca918db5d757313cfd28512c5519da1fbdd9bcc56",
+    "rgg-40": "5c85acf7cd73910077efcaf085ea0e17d00e2ea380b581ee04f094fe6de8fde3",
+    "rgg-90": "9ddd8ca147882e97a8b648a3079e80823e63eb952fba9a24ec47ae73deade792",
+    "rhgg-40": "061dae6a97ee6229b4087f2a6c11550c7de367841a4e5870d91854a20e29526d",
+    "rhgg-90": "83cb7967ec73ea1119bcfc9765d5993023c2c26fb99922d1597f947ccba2c2a3",
+    "rhg-40": "33c0ae20e0cde2815f2bde0ef5fa4f5b0690ff492e947c2a43afbf5ffa8445e1",
+    "rhg-90": "6154fc875ef3a963e6288a399f4402cf3cc8a01df431a87d5f752d2113e0229b",
 }
 
 # fig2's three measures in fig2's order, then in reverse order, then
-# complexity_report, all on one graph object, at ddof 0 and then ddof 1
+# complexity_report, all on one graph object
 GOLDEN_MEASURE_ORDER = {
-    "sixnode": "969eb25b6d9e49b6f302caa23ae0dc8940b03d6f9af341d593ea3bf8979e210d",
-    "er-40": "83e548dc0dc47b7cdf66fe51ac56faf28ce6ca3c4e686cb09eade165c683e633",
-    "er-90": "1ffa3556509804fb869f6dd926879bab7ab129e4298e61f8280ef1e5a7f2f69a",
-    "rgg-40": "3f3275370a6a85c063ea313a83f2c6d89bc425f9ebd738d97f8229eab9e9dced",
-    "rgg-90": "41d19dcc266721f865eb1e31ede361cd7221b100ee4a2e4334948b0b038e82f9",
-    "rhgg-40": "166fed370e47193c07be4f0c629afe30fd7d4b9c3abbe6b86d801f6ca2a2e8f9",
-    "rhgg-90": "d53f3f4066b9a78f5b39fb51acb640c17a2fee1b256c117671f894d92a859e44",
-    "rhg-40": "7de4572c55e1b0450b79f4c23239a9e8459316dbae890041d9b85747903a3675",
-    "rhg-90": "4bea965bd60d354ae1bcfb913efd71c1a38daf7fd8c6e1dc94cf70a7dfd87e10",
+    "sixnode": "aeed742dcf5122303c48021df55f2dc7bca5b652a4493d5d727fee955dab48d4",
+    "er-40": "96ed2e4302df8085023afc7b835073d3bde6bd020f834a7334caf65ff8b094e5",
+    "er-90": "f7d6c2d98d776604273ccb83a3406bf7e310a52eb22bba30c5017314f1550dbb",
+    "rgg-40": "81f5313008d44bd8c19e2a2d84a831314f53773661e33d903cfb0bd5096d05a3",
+    "rgg-90": "56c45b53dd8821b0988de31bbc9c968226799327a07e936d1be0e845be954fe5",
+    "rhgg-40": "cfeda2ee11f210baf9b872b2bd7c9121464b1532a5598d466981b1ff4ac3dd3e",
+    "rhgg-90": "adab13b939ad823c647a5547bd5bb6ed2835fbbe1d0195a6400f4450b3908177",
+    "rhg-40": "90c9794fe639c787d2672c732bc8b165dd79ff32db69cca6d1ed079c29b86d69",
+    "rhg-90": "37da6bc16b698f2ee7753226b10d9ad6b676088a387f073bb1a4d43d3c263073",
+}
+
+# `hiercomp rank` CSV and `hiercomp analyze` JSON on one directory (cli_hashes)
+GOLDEN_CLI = {
+    "rank": "c6d6ca47a2cc89deac0739604b1cebc179a23dd830c21d7e27930875c08e4c33",
+    "analyze-er-60": "d1e0802b3ef2c982b838a1f53a1194bf01c0eefd8aa34aa703ab47b1b5125e7d",
+    "analyze-rgg-80": "70dc64eb52e22867c82359e5ab5ed6aa179943023e57a91c3c6cb3f7c5fe3485",
+    "analyze-rhgg-100": "711b62762f1bb3fde7bcb76d70926231276aa25816fdceccc66a01586d514b03",
+    "analyze-sixnode": "af28e2232412843d260da88f3dfbb3005c02c13389c74aa298045f407c50fce2",
 }
 
 GOLDEN_EDGES = {
@@ -543,14 +555,8 @@ def report_hashes(sixnode) -> dict[str, str]:
 def measure_hashes(sixnode) -> dict[str, str]:
     out = {}
     for name, g in _graphs(sixnode):
-        values = []
-        for ddof in (0, 1):
-            values += [
-                hc_global(g, ddof=ddof),
-                nhc_global(g, ddof=ddof),
-                nhc_alt_sqrtk(g, sqrt_m=False, ddof=ddof),
-                nhc_alt_sqrtk(g, sqrt_m=True, ddof=ddof),
-            ]
+        values = [hc_global(g), nhc_global(g), nhc_alt_sqrtk(g, sqrt_m=False),
+                  nhc_alt_sqrtk(g, sqrt_m=True)]
         out[name] = _sha(repr(values).encode())
     return out
 
@@ -558,14 +564,30 @@ def measure_hashes(sixnode) -> dict[str, str]:
 def measure_order_hashes(sixnode) -> dict[str, str]:
     out = {}
     for name, g in _graphs(sixnode):
-        values = []
-        for ddof in (0, 1):
-            fig2 = [lambda: nhc_global(g, ddof=ddof),
-                    lambda: nhc_alt_sqrtk(g, sqrt_m=False, ddof=ddof),
-                    lambda: nhc_alt_sqrtk(g, sqrt_m=True, ddof=ddof)]
-            values += [call() for call in fig2 + fig2[::-1]]
-            values.append(complexity_report(g, ddof=ddof).to_dict())
+        fig2 = [lambda: nhc_global(g), lambda: nhc_alt_sqrtk(g, sqrt_m=False),
+                lambda: nhc_alt_sqrtk(g, sqrt_m=True)]
+        values = [call() for call in fig2 + fig2[::-1]] + [complexity_report(g).to_dict()]
         out[name] = _sha(repr(values).encode())
+    return out
+
+
+def cli_hashes(sixnode_path: Path, tmp_path: Path) -> dict[str, str]:
+    """The bytes of ``hiercomp rank`` and of each ``hiercomp analyze`` on a
+    directory of sixnode.txt and three generated graphs, run from its parent
+    so that analyze's ``source_path`` is the relative ``nets/<file>``."""
+    nets = tmp_path / "nets"
+    nets.mkdir()
+    shutil.copy(sixnode_path, nets / "sixnode.txt")
+    for i, (family, n, target) in enumerate((("er", 60, 0.1), ("rgg", 80, 0.08), ("rhgg", 100, 0.06))):
+        spec = ModelSpec(family=family, n=n, target=target, seed=child_seed(11, i))
+        write_edgelist(generate(spec), nets / f"{family}-{n}.txt")
+    out = {}
+    with contextlib.chdir(tmp_path):
+        assert main(["rank", "nets", "--output", "rank.csv"]) == 0
+        out["rank"] = _sha(Path("rank.csv").read_bytes())
+        for path in sorted(nets.iterdir()):
+            assert main(["analyze", f"nets/{path.name}", "--output", f"{path.stem}.json"]) == 0
+            out[f"analyze-{path.stem}"] = _sha(Path(f"{path.stem}.json").read_bytes())
     return out
 
 
@@ -592,6 +614,10 @@ def test_global_measures_are_golden(sixnode):
 
 def test_measures_in_any_order_on_one_graph_are_golden(sixnode):
     assert measure_order_hashes(sixnode) == GOLDEN_MEASURE_ORDER
+
+
+def test_rank_and_analyze_output_is_golden(sixnode_path, tmp_path):
+    assert cli_hashes(sixnode_path, tmp_path) == GOLDEN_CLI
 
 
 def test_widened_attachment_edges_are_golden():
@@ -636,12 +662,16 @@ def _print_dict(name: str, hashes: dict[str, str]) -> None:
 if __name__ == "__main__":
     # Print every GOLDEN_* dict as the current code computes it, ready to paste
     # above when a change re-keys an output on purpose.
-    six = read_edgelist(Path(__file__).parent / "fixtures" / "sixnode.txt")
+    six_path = Path(__file__).parent / "fixtures" / "sixnode.txt"
+    six = read_edgelist(six_path)
     with tempfile.TemporaryDirectory() as tmp:
         _print_dict("GOLDEN_CSV", csv_hashes(Path(tmp)))
         _print_dict("GOLDEN_REPORTS", report_hashes(six))
         _print_dict("GOLDEN_MEASURES", measure_hashes(six))
         _print_dict("GOLDEN_MEASURE_ORDER", measure_order_hashes(six))
+    with tempfile.TemporaryDirectory() as tmp:
+        _print_dict("GOLDEN_CLI", cli_hashes(six_path, Path(tmp)))
+    with tempfile.TemporaryDirectory() as tmp:
         _print_dict("GOLDEN_EDGES", edge_hashes())
         _print_dict("GOLDEN_CSR", csr_hashes(six, Path(tmp)))
         _print_dict("GOLDEN_LARGE", large_hashes())
