@@ -69,8 +69,8 @@ def _report(p: Point, side: str, work: Path, patch, timed):
 class _NoMemo(dict):
     """Stands in for complexity's table memo and keeps nothing."""
 
-    def setdefault(self, key, default=None):
-        return default
+    def __setitem__(self, key, value):
+        pass
 
 
 def _measures(p: Point, side: str, work: Path, patch, timed):
@@ -92,7 +92,7 @@ def _tables(p: Point, side: str, work: Path, patch, timed):
         edges = [g.edge_array().tolist() for g in graphs]
         tables = timed(lambda: [oracle.class_table_naive(p.n, e) for e in edges])
     else:
-        tables = timed(lambda: [complexity._class_table(g, 0) for g in graphs])
+        tables = timed(lambda: [complexity._class_table(g) for g in graphs])
     return sum(g.m for g in graphs), tables
 
 
@@ -161,7 +161,7 @@ def _fig5(p: Point, side: str, work: Path, patch, timed):
         return steps
 
     steps = timed(rebuilt if side == "ref" else lambda: [
-        tuple(s) for s in attachment.density_sweep(g, p.kind, fractions, seed).steps])
+        tuple(s) for s in attachment.density_sweep(g, p.kind, fractions, seed)])
     return steps[-1][1], steps
 
 

@@ -3,7 +3,6 @@
 from .attachment import (
     MECHANISMS,
     SweepStep,
-    SweepTrace,
     add_edges,
     density_sweep,
     edge_weights,
@@ -30,14 +29,7 @@ from .theory import (
     nhc_k_approx,
     order_stat_sigma,
 )
-from .workbench import (
-    NetworkRecord,
-    read_edgelist,
-    record_for,
-    residual_correlation,
-    spearman,
-    write_edgelist,
-)
+from .workbench import read_edgelist, residual_correlation, spearman, write_edgelist
 
 __version__ = "0.1.0"
 
@@ -50,7 +42,6 @@ __all__ = [
     "nhc_k_approx", "nhc_global_approx", "corollary_bound",
     "gaussian_pmf_at_quantile", "TheoryApprox",
     "MECHANISMS", "edge_weights", "add_edges", "density_sweep",
-    "SweepStep", "SweepTrace",
+    "SweepStep",
     "read_edgelist", "write_edgelist", "spearman", "residual_correlation",
-    "NetworkRecord", "record_for",
 ]

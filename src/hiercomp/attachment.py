@@ -11,7 +11,8 @@ A batch step picks its edges by successive sampling (one at a time, each with
 probability weight over the weight still open) on the weights frozen at the
 start of the step.  A batch that needs every positive-weight non-edge takes
 them all and draws the rest uniformly; a map with no positive weight falls
-back to uniform attachment with a logged notice.  Sweeps carry the
+back to uniform attachment with a logged notice.  A sweep returns one
+``SweepStep`` (fraction, edge count, R-hat) per fraction, and carries the
 shared-neighbour pairs and counts from step to step: ``add_edges`` updates
 them from the codes D it drew, by (A + D)^2 = A^2 + DA + AD + D^2, and only
 the sweep's start builds them from ``A @ A``.  The counts are exact
@@ -45,7 +46,6 @@ __all__ = [
     "add_edges",
     "density_sweep",
     "SweepStep",
-    "SweepTrace",
 ]
 
 log = logging.getLogger(__name__)
@@ -304,13 +304,6 @@ class SweepStep(NamedTuple):
     value: float
 
 
-@dataclass(frozen=True)
-class SweepTrace:
-    mechanism: str
-    base_id: str
-    steps: tuple[SweepStep, ...]
-
-
 DEFAULT_FRACTIONS = tuple(i / 1000 for i in range(21))  # 0, 0.001, ..., 0.020
 
 
@@ -319,9 +312,9 @@ def density_sweep(
     mechanism: str,
     fractions=DEFAULT_FRACTIONS,
     seed: int = 0,
-    base_id: str = "",
-) -> SweepTrace:
-    """Grow g towards round(m0 * (1 + f)) edges for each fraction f.
+) -> tuple[SweepStep, ...]:
+    """Grow g towards round(m0 * (1 + f)) edges for each fraction f, and
+    return one step per fraction.
 
     Each step draws on the weights of the graph it starts from; the measure
     is recorded after each step, including the f=0 baseline.  Similarity
@@ -347,4 +340,4 @@ def density_sweep(
         if need > 0:
             cur = add_edges(cur, mechanism, need, int(step_seeds[i]), pairs=pairs)
         steps.append(SweepStep(f, cur.m, nhc_global(cur)))
-    return SweepTrace(mechanism=mechanism, base_id=base_id, steps=tuple(steps))
+    return tuple(steps)

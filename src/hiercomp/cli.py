@@ -136,8 +136,9 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_rank(args) -> int:
-    rows = [(rec.name, rec.n, rec.m, rec.d, rec.R, rec.R_hat, rank_r, rank_rhat)
-            for rec, rank_r, rank_rhat in rank_directory(args.directory)]
+    rows = [(path.stem, rep.node_count, rep.edge_count, rep.density, rep.global_unnormalised,
+             rep.global_normalised, rank_r, rank_rhat)
+            for path, rep, rank_r, rank_rhat in rank_directory(args.directory)]
     header = ["name", "n", "m", "density", "R", "R_hat", "rank_R", "rank_R_hat"]
     _emit(_csv_text(header, rows), args.output)
     return 0

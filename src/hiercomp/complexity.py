@@ -7,13 +7,12 @@ class after class in ascending k, with numpy's own ``std`` steps, so the
 bits are those of ``rows.std(axis=0)``; :func:`class_sigmas` yields each
 class's slice of it.  Every measure reads one table that reduces that array
 to (ell, sum of sds, sum of variances) per class by two reduceats; the table
-is built once per graph and ddof and kept while the graph lives, so fig2's
-measures and a report on one graph run the kernel once.  The unnormalised
-measure averages the column variances over k; the normalised variant sums
-column standard deviations and divides by (1 - density) * edge_count, which
-removes most of the size/density dependence.  Column statistics use the
-population convention (ddof=0) by default; pass ddof=1 for sample-sd
-sensitivity checks.
+is built once per graph and kept while the graph lives, so fig2's measures
+and a report on one graph run the kernel once.  The unnormalised measure
+averages the column variances over k; the normalised variant sums column
+standard deviations and divides by (1 - density) * edge_count, which
+removes most of the size/density dependence.  Every standard deviation is
+the population one, as in numpy's ``std(axis=0)``.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 
-def class_sigmas(g: Graph, ddof: int = 0) -> Iterator[tuple[int, int, np.ndarray]]:
+def class_sigmas(g: Graph) -> Iterator[tuple[int, int, np.ndarray]]:
     """Yield ``(k, class_size, sigma)`` for each degree class, ascending k.
 
     The classes are the degrees k >= 1 held by at least two nodes.  ``sigma``
@@ -50,21 +49,20 @@ def class_sigmas(g: Graph, ddof: int = 0) -> Iterator[tuple[int, int, np.ndarray
     per degree-k node (ascending id), its neighbour degrees ascending.  The
     sigmas are views of one array that :func:`_class_columns` fills.
     """
-    ks, ells, cols, starts = _class_columns(g, ddof)
+    ks, ells, cols, starts = _class_columns(g)
     for k, ell, at in zip(ks.tolist(), ells.tolist(), starts.tolist()):
         yield k, ell, cols[at + 1:at + 1 + k]
 
 
-def _class_columns(g: Graph, ddof: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _class_columns(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The kernel: each class's k, size ell and k column sds, the sds of all
     classes in one array ``cols``, where class i's follow a 0.0 at
     ``starts[i]`` (so that a reduceat over a class sums as ``sigma.sum()``).
 
     Per class, one row gather from the float neighbour degrees, a row sort,
     and :func:`_centred_squares` into the class's slice of ``cols``; then one
-    division by max(ell - ddof, 0) and one sqrt over every column.  These are
-    the ufunc steps of numpy's ``std(axis=0, ddof=ddof)``, in its order, so
-    the bits are the same.
+    division by ell and one sqrt over every column.  These are the ufunc
+    steps of numpy's ``std(axis=0)``, in its order, so the bits are the same.
     """
     ks = degree_support_d2(g)
     order = np.argsort(g.degrees, kind="stable")  # stable: ids ascend inside a class
@@ -79,7 +77,7 @@ def _class_columns(g: Graph, ddof: int) -> tuple[np.ndarray, np.ndarray, np.ndar
         rows = nbr_deg[row_starts[first:first + ell, None] + np.arange(k)]
         rows.sort(axis=1)
         _centred_squares(rows, cols[at + 1:at + 1 + k])
-    denom = np.repeat(np.maximum(ells - ddof, 0).astype(np.float64), ks + 1)
+    denom = np.repeat(ells.astype(np.float64), ks + 1)
     denom[starts] = 1.0  # keeps each leading 0.0
     np.true_divide(cols, denom, out=cols)
     np.sqrt(cols, out=cols)
@@ -96,30 +94,30 @@ def _centred_squares(rows: np.ndarray, out: np.ndarray) -> None:
     np.add.reduce(rows, axis=0, out=out)
 
 
-# graph -> ddof -> class table; an entry dies with its graph (Graph hashes
-# by identity and is immutable)
+# graph -> class table; an entry dies with its graph (Graph hashes by
+# identity and is immutable)
 _TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _class_table(g: Graph, ddof: int) -> dict[int, tuple[int, float, float]]:
+def _class_table(g: Graph) -> dict[int, tuple[int, float, float]]:
     """``{k: (ell, sum of sigma, sum of sigma**2)}`` in ascending k, from one
-    pass of the kernel, memoised per graph and ddof.  The sums are reduceats
-    over ``cols``; each class's leading 0.0 makes them the bits of
+    pass of the kernel, memoised per graph.  The sums are reduceats over
+    ``cols``; each class's leading 0.0 makes them the bits of
     ``sigma.sum()`` and ``np.square(sigma).sum()``."""
-    tables = _TABLES.setdefault(g, {})
-    if ddof not in tables:
-        ks, ells, cols, starts = _class_columns(g, ddof)
+    table = _TABLES.get(g)
+    if table is None:
+        ks, ells, cols, starts = _class_columns(g)
         if ks.size:
             sums = np.add.reduceat(cols, starts).tolist()
             squares = np.add.reduceat(np.square(cols), starts).tolist()
         else:
             sums = squares = []
-        tables[ddof] = dict(zip(ks.tolist(), zip(ells.tolist(), sums, squares)))
-    return tables[ddof]
+        table = _TABLES[g] = dict(zip(ks.tolist(), zip(ells.tolist(), sums, squares)))
+    return table
 
 
-def _class_row(g: Graph, k: int, ddof: int) -> tuple[int, float, float]:
-    row = _class_table(g, ddof).get(k)
+def _class_row(g: Graph, k: int) -> tuple[int, float, float]:
+    row = _class_table(g).get(k)
     if row is None:
         raise ValueError(f"degree {k} is not held by at least two nodes")
     return row
@@ -134,24 +132,24 @@ def _warn_above_one(value: float, g: Graph) -> None:
         log.warning("normalised complexity %.6f exceeds 1 (n=%d, m=%d)", value, g.n, g.m)
 
 
-def hc_k(g: Graph, k: int, ddof: int = 0) -> float:
+def hc_k(g: Graph, k: int) -> float:
     """Mean column variance of the degree-k NDS matrix."""
-    return _class_row(g, k, ddof)[2] / k
+    return _class_row(g, k)[2] / k
 
 
-def hc_global(g: Graph, ddof: int = 0) -> float:
+def hc_global(g: Graph) -> float:
     """Average of :func:`hc_k` over the supported degrees; 0 when none."""
-    return _mean([sq / k for k, (_, _, sq) in _class_table(g, ddof).items()])
+    return _mean([sq / k for k, (_, _, sq) in _class_table(g).items()])
 
 
-def nhc_k(g: Graph, k: int, ddof: int = 0) -> float:
+def nhc_k(g: Graph, k: int) -> float:
     """Sum of degree-k column sds over (1 - density) * edge_count."""
     if g.density == 1.0:
         raise ValueError("normalisation singular: density is 1")
-    return _class_row(g, k, ddof)[1] / ((1.0 - g.density) * g.m)
+    return _class_row(g, k)[1] / ((1.0 - g.density) * g.m)
 
 
-def nhc_global(g: Graph, ddof: int = 0) -> float:
+def nhc_global(g: Graph) -> float:
     """Average of :func:`nhc_k` over the supported degrees.
 
     Complete graphs short-circuit to 0 before the singular normalisation.
@@ -159,12 +157,12 @@ def nhc_global(g: Graph, ddof: int = 0) -> float:
     if g.density == 1.0:
         return 0.0
     norm = (1.0 - g.density) * g.m
-    value = _mean([s / norm for _, s, _ in _class_table(g, ddof).values()])
+    value = _mean([s / norm for _, s, _ in _class_table(g).values()])
     _warn_above_one(value, g)
     return value
 
 
-def nhc_alt_sqrtk(g: Graph, sqrt_m: bool = False, ddof: int = 0) -> float:
+def nhc_alt_sqrtk(g: Graph, sqrt_m: bool = False) -> float:
     """Comparison variants whose per-class term divides by sqrt(k).
 
     With ``sqrt_m`` the edge-count factor in the denominator is sqrt(m)
@@ -174,7 +172,7 @@ def nhc_alt_sqrtk(g: Graph, sqrt_m: bool = False, ddof: int = 0) -> float:
     if g.density == 1.0:
         return 0.0
     denom = (1.0 - g.density) * (math.sqrt(g.m) if sqrt_m else g.m)
-    terms = [s / (math.sqrt(k) * denom) for k, (_, s, _) in _class_table(g, ddof).items()]
+    terms = [s / (math.sqrt(k) * denom) for k, (_, s, _) in _class_table(g).items()]
     return _mean(terms)
 
 
@@ -207,7 +205,7 @@ class ComplexityReport:
         }
 
 
-def complexity_report(g: Graph, ddof: int = 0) -> ComplexityReport:
+def complexity_report(g: Graph) -> ComplexityReport:
     """Compute every measure in one pass over the degree classes.
 
     For complete graphs the normalised columns are reported as 0 (the
@@ -216,7 +214,7 @@ def complexity_report(g: Graph, ddof: int = 0) -> ComplexityReport:
     complete = g.density == 1.0
     norm = (1.0 - g.density) * g.m
     per: dict[int, tuple[float, float, int]] = {}
-    for k, (ell, s, sq) in _class_table(g, ddof).items():
+    for k, (ell, s, sq) in _class_table(g).items():
         per[k] = (sq / k, 0.0 if complete else s / norm, ell)
     nhc = 0.0 if complete else _mean([nk for _, nk, _ in per.values()])
     _warn_above_one(nhc, g)

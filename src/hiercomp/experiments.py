@@ -8,7 +8,8 @@ Experiments are named presets selected by a :class:`RunManifest`:
 * ``fig4`` -- heterogeneity sweep: rhgg at fixed n with random (d, sigma),
   recording the global measure and the per-degree profile.
 * ``fig5`` -- attachment sweep: density growth under each mechanism over a
-  set of base graphs.
+  set of base graphs, each input named by its file stem, or ``stem#i``
+  (i its index in ``inputs``) where inputs share a stem.
 
 Each task is a tuple that leads with the manifest ``m`` and reads every
 setting from it: ``(m, family, idx)`` for fig2, ``(m, i)`` for fig3's grid
@@ -34,11 +35,11 @@ from pathlib import Path
 import numpy as np
 
 from .attachment import DEFAULT_FRACTIONS, MECHANISMS, density_sweep
-from .complexity import complexity_report, nhc_alt_sqrtk, nhc_global
+from .complexity import ComplexityReport, complexity_report, nhc_alt_sqrtk, nhc_global
 from .generators import FAMILIES, ModelSpec, child_seed, gen_er, generate
 from .graph import Graph
 from .theory import nhc_global_approx
-from .workbench import NetworkRecord, read_edgelist, record_for
+from .workbench import read_edgelist
 
 __all__ = ["RunManifest", "run_experiment", "rank_directory", "EXPERIMENTS"]
 
@@ -51,6 +52,15 @@ _REAL_RANGES = {"lognormal_mu": (-math.inf, math.inf), "lognormal_sigma": (0.0, 
 
 def _is_number(v) -> bool:
     return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
+def _list_of(v, ok) -> bool:
+    return isinstance(v, (tuple, list)) and all(ok(x) for x in v)
+
+
+def _is_grid_point(v) -> bool:
+    return (_list_of(v, _is_number) and len(v) == 2 and type(v[0]) is int and v[0] >= 2
+            and 0 <= v[1] <= 1)
 
 
 @dataclass(frozen=True)
@@ -88,15 +98,25 @@ class RunManifest:
             v = getattr(self, key)
             if not (_is_number(v) and math.isfinite(v) and lo <= v <= hi):
                 raise ValueError(f"{key}: expected a finite number in [{lo}, {hi}], got {v!r}")
+        for key in ("families", "mechanisms", "inputs"):
+            v = getattr(self, key)
+            if not _list_of(v, lambda x: isinstance(x, str)):
+                raise ValueError(f"{key}: expected a list of strings, got {v!r}")
         for key, known in (("families", FAMILIES), ("mechanisms", MECHANISMS)):
             bad = [v for v in getattr(self, key) if v not in known]
             if bad:
                 raise ValueError(f"{key}: unknown {bad}, expected some of {list(known)}")
+        if not _list_of(self.grid, _is_grid_point):
+            raise ValueError("grid: expected [n, p] pairs with an integer n >= 2 and p in [0, 1], "
+                             f"got {self.grid!r}")
+        fr = self.fractions
+        if not (_list_of(fr, lambda f: _is_number(f) and 0 <= f < math.inf) and len(fr) > 0
+                and all(a <= b for a, b in zip(fr, fr[1:]))):
+            raise ValueError("fractions: expected a non-empty, non-decreasing list of finite "
+                             f"numbers >= 0, got {fr!r}")
         for key in ("n_range", "density_range", "sigma_range"):
             v = getattr(self, key)
-            ok = (isinstance(v, (tuple, list)) and len(v) == 2
-                  and all(_is_number(x) for x in v) and v[0] <= v[1])
-            if not ok:
+            if not (_list_of(v, _is_number) and len(v) == 2 and v[0] <= v[1]):
                 raise ValueError(f"{key}: expected two ordered numbers [lo, hi], got {v!r}")
 
     @classmethod
@@ -257,14 +277,19 @@ def run_fig4(m: RunManifest, out_dir: Path) -> list[str]:
 
 def _attachment_task(task):
     m, b, mech_idx, base_id, g = task
-    trace = density_sweep(g, m.mechanisms[mech_idx], fractions=m.fractions,
-                          seed=child_seed(m.seed, 400, b, mech_idx), base_id=base_id)
-    return [(trace.base_id, trace.mechanism, s.fraction, s.edge_count, s.value) for s in trace.steps]
+    mechanism = m.mechanisms[mech_idx]
+    steps = density_sweep(g, mechanism, fractions=m.fractions,
+                          seed=child_seed(m.seed, 400, b, mech_idx))
+    return [(base_id, mechanism, *step) for step in steps]
 
 
 def _fig5_bases(m: RunManifest) -> list[tuple[str, Graph]]:
+    """Each base's id and graph: an input is named by its file stem, or by
+    ``stem#i`` (i its index in ``inputs``) when another input shares the stem."""
     if m.inputs:
-        return [(Path(p).stem, read_edgelist(p)) for p in m.inputs]
+        stems = [Path(p).stem for p in m.inputs]
+        return [(stem if stems.count(stem) == 1 else f"{stem}#{i}", read_edgelist(p))
+                for i, (stem, p) in enumerate(zip(stems, m.inputs))]
     return [(f"rhgg-{b}", generate(ModelSpec(
         family="rhgg", n=m.n, target=m.base_density, dims=m.dims, lognormal_mu=m.lognormal_mu,
         lognormal_sigma=m.lognormal_sigma, seed=child_seed(m.seed, 300, b),
@@ -297,18 +322,18 @@ def run_experiment(manifest: RunManifest, out_dir) -> list[Path]:
 # ranking
 
 
-def rank_directory(directory) -> list[tuple[NetworkRecord, int, int]]:
-    """Analyse every file in a directory; rows sorted by R_hat desc, name asc.
+def rank_directory(directory) -> list[tuple[Path, ComplexityReport, int, int]]:
+    """Analyse every file in a directory; rows sorted by R_hat desc, stem asc.
 
-    Returns (record, rank_by_R, rank_by_R_hat) with both rankings computed
-    independently (1 = largest).
+    Returns (path, report, rank_by_R, rank_by_R_hat) with both rankings
+    computed independently (1 = largest).
     """
     files = sorted(p for p in Path(directory).iterdir() if p.is_file())
     if not files:
         raise ValueError(f"no edge-list files in {directory}")
-    records = [record_for(read_edgelist(p), p.stem, str(p)) for p in files]
-    # sorted() is stable: ties on (value, name) keep path order
-    by_r = sorted(range(len(records)), key=lambda i: (-records[i].R, records[i].name))
-    by_rhat = sorted(range(len(records)), key=lambda i: (-records[i].R_hat, records[i].name))
+    reports = [complexity_report(read_edgelist(p)) for p in files]
+    # sorted() is stable: ties on (value, stem) keep path order
+    by_r = sorted(range(len(files)), key=lambda i: (-reports[i].global_unnormalised, files[i].stem))
+    by_rhat = sorted(range(len(files)), key=lambda i: (-reports[i].global_normalised, files[i].stem))
     rank_r = {i: pos + 1 for pos, i in enumerate(by_r)}
-    return [(records[i], rank_r[i], pos + 1) for pos, i in enumerate(by_rhat)]
+    return [(files[i], reports[i], rank_r[i], pos + 1) for pos, i in enumerate(by_rhat)]

@@ -23,15 +23,13 @@ int32 below 2**31 nodes and counts each number's digits by comparisons.
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 import re
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
-from .complexity import complexity_report
 from .graph import Graph, build_graph
 
 __all__ = [
@@ -39,8 +37,6 @@ __all__ = [
     "write_edgelist",
     "spearman",
     "residual_correlation",
-    "NetworkRecord",
-    "record_for",
 ]
 
 _NODES_HINT = re.compile(r"nodes\s*:?\s*(\d+)", re.IGNORECASE)
@@ -311,13 +307,9 @@ def _average_ranks(v: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def spearman(x, y, method: str = "t") -> tuple[float, float]:
-    """Rank correlation with average ranks for ties.
-
-    ``method='t'`` returns the two-sided p from the t transform on n-2
-    degrees of freedom; ``method='exact'`` enumerates all permutations
-    (only for n < 10).
-    """
+def spearman(x, y) -> tuple[float, float]:
+    """Rank correlation with average ranks for ties, and the two-sided p
+    from the t transform on n-2 degrees of freedom."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.ndim != 1 or x.shape != y.shape:
@@ -330,26 +322,13 @@ def spearman(x, y, method: str = "t") -> tuple[float, float]:
     rx = _average_ranks(x)
     ry = _average_ranks(y)
     rho = _pearson(rx, ry)
-    if method == "t":
-        if abs(rho) >= 1.0:
-            return (max(-1.0, min(1.0, rho)), 0.0)
-        from scipy.stats import t as student_t  # slow to import, and only needed here
+    if abs(rho) >= 1.0:
+        return (max(-1.0, min(1.0, rho)), 0.0)
+    from scipy.stats import t as student_t  # slow to import, and only needed here
 
-        tval = rho * math.sqrt((n - 2) / (1.0 - rho * rho))
-        p = 2.0 * float(student_t.sf(abs(tval), n - 2))
-        return rho, p
-    if method == "exact":
-        if n >= 10:
-            raise ValueError("exact permutation p only available for n < 10")
-        hits = 0
-        total = 0
-        target = abs(rho) - 1e-12
-        for perm in itertools.permutations(ry):
-            total += 1
-            if abs(_pearson(rx, np.asarray(perm))) >= target:
-                hits += 1
-        return rho, hits / total
-    raise ValueError("method must be 't' or 'exact'")
+    tval = rho * math.sqrt((n - 2) / (1.0 - rho * rho))
+    p = 2.0 * float(student_t.sf(abs(tval), n - 2))
+    return rho, p
 
 
 def _pearson(a: np.ndarray, b: np.ndarray) -> float:
@@ -383,30 +362,3 @@ def residual_correlation(hc, density, n_nodes) -> tuple[float, float]:
         raise ValueError("constant input: density is linear in n, residuals carry no variation")
     return spearman(resid, hc)
 
-
-@dataclass(frozen=True)
-class NetworkRecord:
-    """One analysed network, as a row of the comparison tables."""
-
-    name: str
-    n: int
-    m: int
-    d: float
-    R: float
-    R_hat: float
-    source_path: str
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name, "n": self.n, "m": self.m, "d": self.d,
-            "R": self.R, "R_hat": self.R_hat, "source_path": self.source_path,
-        }
-
-
-def record_for(g: Graph, name: str, source_path: str = "") -> NetworkRecord:
-    rep = complexity_report(g)
-    return NetworkRecord(
-        name=name, n=g.n, m=g.m, d=g.density,
-        R=rep.global_unnormalised, R_hat=rep.global_normalised,
-        source_path=source_path,
-    )

@@ -296,13 +296,12 @@ def test_large_graph_hierarchical_takes_every_weighted_pair_then_tops_up(caplog)
 def test_density_sweep_baseline_and_targets():
     g = gen_er(200, 0.05, child_seed(0, 777))
     fractions = (0.0, 0.01, 0.02, 0.05)
-    trace = density_sweep(g, "hierarchical", fractions, seed=4, base_id="b0")
-    assert trace.mechanism == "hierarchical"
-    assert trace.base_id == "b0"
-    assert [s.fraction for s in trace.steps] == list(fractions)
-    assert trace.steps[0].edge_count == g.m
-    assert trace.steps[0].value == pytest.approx(nhc_global(g), abs=0.0)
-    for s in trace.steps:
+    steps = density_sweep(g, "hierarchical", fractions, seed=4)
+    assert isinstance(steps, tuple)
+    assert [s.fraction for s in steps] == list(fractions)
+    assert steps[0].edge_count == g.m
+    assert steps[0].value == pytest.approx(nhc_global(g), abs=0.0)
+    for s in steps:
         assert s.edge_count == int(round(g.m * (1 + s.fraction)))
 
 
@@ -456,5 +455,5 @@ def test_density_sweep_matches_per_step_add_edges(mechanism, case):
     else:
         g = gen_er(80, 0.05, 9)
         fractions = (0.0, 0.0, 0.1, 0.1, 0.101, 0.3)
-    trace = density_sweep(g, mechanism, fractions, seed=21)
-    assert [tuple(s) for s in trace.steps] == per_step_sweep(g, mechanism, fractions, 21)
+    steps = density_sweep(g, mechanism, fractions, seed=21)
+    assert [tuple(s) for s in steps] == per_step_sweep(g, mechanism, fractions, 21)

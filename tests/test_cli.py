@@ -186,6 +186,11 @@ def test_sweep_experiment_mismatch(tmp_path, capsys):
     ("fig5", {"base_density": 2.0}, "base_density"),
     ("fig2", 3, "manifest"),  # not an object
     ("fig2", ["fig2"], "manifest"),
+    ("fig2", {"families": 3}, "families"),
+    ("fig3", {"grid": [[100]]}, "grid"),
+    ("fig5", {"fractions": "x"}, "fractions"),
+    ("fig5", {"fractions": [0.0, 0.02, 0.01]}, "fractions"),
+    ("fig5", {"inputs": ["net.txt", 3]}, "inputs"),
 ])
 def test_sweep_malformed_manifest_exits_2(tmp_path, capsys, experiment, settings, key):
     mpath = tmp_path / "m.json"

@@ -5,7 +5,6 @@ from __future__ import annotations
 import dataclasses
 import gc
 import itertools
-import math
 import weakref
 
 import numpy as np
@@ -140,19 +139,19 @@ def test_column_sds_are_numpys_std_to_the_bit(shape, ddof):
     x = rows.astype(np.float64)
     expected = x.std(axis=0, ddof=ddof)
     sds = np.empty(shape[1])
-    complexity._centred_squares(x.copy(), sds)  # then as the kernel does for every class
+    # _centred_squares is numpy's _var before its division by ell - ddof,
+    # whichever ddof; the kernel divides by ell (ddof 0) for every class
+    complexity._centred_squares(x.copy(), sds)
     np.true_divide(sds, np.full(shape[1], max(shape[0] - ddof, 0), np.float64), out=sds)
     assert np.sqrt(sds).tobytes() == expected.tobytes()
 
 
-@given(st.integers(1, 60), st.floats(0.0, 1.0), st.integers(0, 2**32), st.integers(0, 12),
-       st.sampled_from([0, 1]))
-@example(30, 0.6, 1, 0, 0)  # classes of k >= 9
-@example(30, 0.6, 1, 0, 1)
-@example(5, 0.0, 0, 12, 0)  # a star: one k = 1 class of 12 rows
-@example(20, 0.3, 2, 10, 1)  # a k = 1 class of >= 10 rows beside the er classes
+@given(st.integers(1, 60), st.floats(0.0, 1.0), st.integers(0, 2**32), st.integers(0, 12))
+@example(30, 0.6, 1, 0)  # classes of k >= 9
+@example(5, 0.0, 0, 12)  # a star: one k = 1 class of 12 rows
+@example(20, 0.3, 2, 10)  # a k = 1 class of >= 10 rows beside the er classes
 @settings(max_examples=120, deadline=None)
-def test_class_table_matches_naive_to_the_bit(n, p, seed, leaves, ddof):
+def test_class_table_matches_naive_to_the_bit(n, p, seed, leaves):
     """The class table, and every class's sigmas, are those of ``rows.std``
     per class, to the bit; ``leaves`` pendant nodes on node 0 make a large
     k = 1 class."""
@@ -160,72 +159,54 @@ def test_class_table_matches_naive_to_the_bit(n, p, seed, leaves, ddof):
     pendant = np.array([(0, n + i) for i in range(leaves)], np.int64).reshape(-1, 2)
     edges = np.vstack((gen_er(n, p, seed).edge_array(), pendant))
     g = from_codes(big, np.sort(edges[:, 0] * big + edges[:, 1]))
-    naive = oracle.class_sigmas_naive(big, edges.tolist(), ddof)
-    got = {k: sig for k, _, sig in class_sigmas(g, ddof)}
+    naive = oracle.class_sigmas_naive(big, edges.tolist())
+    got = {k: sig for k, _, sig in class_sigmas(g)}
     assert list(got) == list(naive)
     assert all(got[k].tobytes() == naive[k].tobytes() for k in naive)
-    assert complexity._class_table(g, ddof) == oracle.class_table_naive(big, edges.tolist(), ddof)
+    assert complexity._class_table(g) == oracle.class_table_naive(big, edges.tolist())
 
 
-MEMO_GRAPH = gen_rhgg(300, 0.05, seed=31, lognormal_sigma=0.5)
+# a heterogeneous geometric graph, and an er graph whose k = 1 class has many rows
+MEMO_GRAPHS = (gen_rhgg(300, 0.05, seed=31, lognormal_sigma=0.5), gen_er(400, 0.004, seed=32))
 
 
-def _measures(g, ddof):
+def _measures(g):
     ks = [k for k, _, _ in class_sigmas(g)]
     return {
-        "nhc": lambda: nhc_global(g, ddof=ddof),
-        "sqrtk": lambda: nhc_alt_sqrtk(g, sqrt_m=False, ddof=ddof),
-        "sqrtk-sqrtm": lambda: nhc_alt_sqrtk(g, sqrt_m=True, ddof=ddof),
-        "hc": lambda: hc_global(g, ddof=ddof),
-        "per-k": lambda: [(hc_k(g, k, ddof), nhc_k(g, k, ddof)) for k in ks],
-        "report": lambda: complexity_report(g, ddof=ddof).to_dict(),
+        "nhc": lambda: nhc_global(g),
+        "sqrtk": lambda: nhc_alt_sqrtk(g, sqrt_m=False),
+        "sqrtk-sqrtm": lambda: nhc_alt_sqrtk(g, sqrt_m=True),
+        "hc": lambda: hc_global(g),
+        "per-k": lambda: [(hc_k(g, k), nhc_k(g, k)) for k in ks],
+        "report": lambda: complexity_report(g).to_dict(),
     }
 
 
-@pytest.mark.parametrize("ddof", [0, 1])
-def test_measures_in_any_order_give_the_values_of_a_fresh_graph(ddof):
+@pytest.mark.parametrize("graph", [0, 1])
+def test_measures_in_any_order_give_the_values_of_a_fresh_graph(graph):
     # a fresh Graph object over the same arrays starts with no class table
-    fresh = {name: _measures(dataclasses.replace(MEMO_GRAPH), ddof)[name]()
-             for name in _measures(MEMO_GRAPH, ddof)}
+    base = MEMO_GRAPHS[graph]
+    fresh = {name: _measures(dataclasses.replace(base))[name]() for name in _measures(base)}
     for order in itertools.islice(itertools.permutations(fresh), 0, None, 37):
-        g = dataclasses.replace(MEMO_GRAPH)
-        calls = _measures(g, ddof)
+        g = dataclasses.replace(base)
+        calls = _measures(g)
         assert {name: calls[name]() for name in order} == fresh, order
-
-
-def test_ddof_zero_and_one_keep_separate_tables():
-    g = dataclasses.replace(MEMO_GRAPH)
-    population = nhc_global(g)
-    assert list(complexity._TABLES[g]) == [0]
-    sample = nhc_global(g, ddof=1)
-    assert list(complexity._TABLES[g]) == [0, 1]
-    assert sample != population
-    assert (population, sample) == (nhc_global(dataclasses.replace(g)),
-                                    nhc_global(dataclasses.replace(g), ddof=1))
-    assert complexity._TABLES[g][0] != complexity._TABLES[g][1]
 
 
 def test_class_table_dies_with_its_graph():
     gc.collect()
     before = len(complexity._TABLES)
-    g = dataclasses.replace(MEMO_GRAPH)
+    g = dataclasses.replace(MEMO_GRAPHS[0])
     nhc_global(g)
-    complexity_report(g, ddof=1)
+    table = complexity._TABLES[g]
+    complexity_report(g)
+    assert complexity._TABLES[g] is table  # built once, read by both
     assert len(complexity._TABLES) == before + 1
     ref = weakref.ref(g)
     del g
     gc.collect()
     assert ref() is None
     assert len(complexity._TABLES) == before
-
-
-def test_sample_variance_convention_switch():
-    g = build_graph(SIX_EDGES)
-    adj = oracle.adjacency(6, SIX_EDGES)
-    assert hc_global(g, ddof=1) == pytest.approx(oracle.r_global(adj, sample=True), rel=1e-12)
-    assert nhc_global(g, ddof=1) == pytest.approx(oracle.r_hat_global(adj, sample=True), rel=1e-12)
-    # every class here has two rows, so sample sigma is population * sqrt(2)
-    assert nhc_global(g, ddof=1) == pytest.approx(SIX_R_HAT * math.sqrt(2), rel=1e-12)
 
 
 @pytest.mark.parametrize("p", [0.2, 0.5, 0.8])

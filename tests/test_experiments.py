@@ -63,6 +63,24 @@ def test_manifest_rejects_unknown_keys(tmp_path):
     ({"lognormal_sigma": -0.1}, "lognormal_sigma"),
     ({"base_density": 1.5}, "base_density"),
     ({"base_density": False}, "base_density"),
+    ({"families": 3}, "families"),
+    ({"families": "er"}, "families"),
+    ({"mechanisms": ("random", 1)}, "mechanisms"),
+    ({"grid": ((100,),)}, "grid"),
+    ({"grid": ((1, 0.1),)}, "grid"),
+    ({"grid": ((100.0, 0.1),)}, "grid"),
+    ({"grid": ((100, 1.5),)}, "grid"),
+    ({"grid": ((100, "0.1"),)}, "grid"),
+    ({"grid": (100, 0.1)}, "grid"),
+    ({"fractions": "x"}, "fractions"),
+    ({"fractions": ()}, "fractions"),
+    ({"fractions": (0.0, -0.1)}, "fractions"),
+    ({"fractions": (0.0, 0.02, 0.01)}, "fractions"),
+    ({"fractions": (0.0, float("inf"))}, "fractions"),
+    ({"fractions": (0.0, float("nan"))}, "fractions"),
+    ({"fractions": (0.0, True)}, "fractions"),
+    ({"inputs": "net.txt"}, "inputs"),
+    ({"inputs": ("net.txt", 3)}, "inputs"),
 ])
 def test_manifest_rejects_malformed_settings_when_built(settings, key):
     with pytest.raises(ValueError, match=f"^{key}:"):
@@ -74,6 +92,12 @@ def test_manifest_accepts_scalar_settings_at_their_bounds():
                     seeds_per_point=1, base_count=0, workers=0, lognormal_mu=-2,
                     lognormal_sigma=0.0, base_density=1)
     assert m.base_density == 1 and m.lognormal_mu == -2
+
+
+def test_manifest_accepts_tuple_settings_at_their_bounds():
+    m = RunManifest(experiment="fig3", families=[], mechanisms=["random"], grid=[[2, 0], [3, 1.0]],
+                    fractions=[0, 0, 0.5], inputs=["a.txt"])
+    assert m.grid == [[2, 0], [3, 1.0]] and m.fractions == [0, 0, 0.5]
 
 
 def test_manifest_rejects_unknown_experiment(tmp_path):
@@ -221,6 +245,19 @@ def test_fig5_explicit_inputs(tmp_path):
     assert len(rows) == 2
 
 
+def test_fig5_inputs_sharing_a_stem_get_distinct_base_ids(tmp_path):
+    paths = []
+    for i, name in enumerate(("a/net.txt", "b/net.txt", "c/other.txt", "d/net.edges")):
+        path = tmp_path / name
+        path.parent.mkdir()
+        write_edgelist(gen_er(60, 0.1, child_seed(0, 1236, i)), path)
+        paths.append(str(path))
+    m = RunManifest(experiment="fig5", inputs=tuple(paths), fractions=(0.0,),
+                    mechanisms=("random",))
+    _, rows = read_rows(run_experiment(m, tmp_path / "out")[0])
+    assert [r[0] for r in rows] == ["net#0", "net#1", "other", "net#3"]
+
+
 def test_fig5_input_stem_with_a_comma_is_quoted(tmp_path):
     src = tmp_path / "karate,club.txt"
     write_edgelist(gen_er(60, 0.1, child_seed(0, 1235)), src)
@@ -251,12 +288,12 @@ def test_rank_directory_orders_by_measure(tmp_path):
         write_edgelist(g, tmp_path / f"net{i}.txt")
     ranked = rank_directory(tmp_path)
     assert len(ranked) == 3
-    values = [rec.R_hat for rec, _, _ in ranked]
+    values = [rep.global_normalised for _, rep, _, _ in ranked]
     assert values == sorted(values, reverse=True)
-    assert [rk for _, _, rk in ranked] == [1, 2, 3]
-    r_values = {rec.name: rec.R for rec, _, _ in ranked}
+    assert [rk for _, _, _, rk in ranked] == [1, 2, 3]
+    r_values = {path.stem: rep.global_unnormalised for path, rep, _, _ in ranked}
     by_r = sorted(r_values, key=lambda nm: (-r_values[nm], nm))
-    assert {rec.name: rank_r for rec, rank_r, _ in ranked} == {
+    assert {path.stem: rank_r for path, _, rank_r, _ in ranked} == {
         nm: i + 1 for i, nm in enumerate(by_r)
     }
 
@@ -265,11 +302,11 @@ def test_rank_directory_files_sharing_a_stem(tmp_path):
     for i, (name, p) in enumerate((("net.txt", 0.1), ("net.edges", 0.3), ("other.txt", 0.5))):
         write_edgelist(gen_er(40, p, child_seed(0, 9100, i)), tmp_path / name)
     ranked = rank_directory(tmp_path)
-    assert sorted(rec.name for rec, _, _ in ranked) == ["net", "net", "other"]
-    assert [rk for _, _, rk in ranked] == [1, 2, 3]
-    assert sorted(rank_r for _, rank_r, _ in ranked) == [1, 2, 3]
-    by_r = sorted(ranked, key=lambda row: (-row[0].R, row[0].name))
-    assert [rank_r for _, rank_r, _ in by_r] == [1, 2, 3]
+    assert sorted(path.stem for path, _, _, _ in ranked) == ["net", "net", "other"]
+    assert [rk for _, _, _, rk in ranked] == [1, 2, 3]
+    assert sorted(rank_r for _, _, rank_r, _ in ranked) == [1, 2, 3]
+    by_r = sorted(ranked, key=lambda row: (-row[1].global_unnormalised, row[0].stem))
+    assert [rank_r for _, _, rank_r, _ in by_r] == [1, 2, 3]
 
 
 def test_rank_directory_ties_break_by_name_then_path(tmp_path):
@@ -277,9 +314,19 @@ def test_rank_directory_ties_break_by_name_then_path(tmp_path):
     for name in ("b.txt", "a.txt", "a.edges"):
         write_edgelist(g, tmp_path / name)
     ranked = rank_directory(tmp_path)
-    assert [rec.source_path.rsplit("/", 1)[1] for rec, _, _ in ranked] == [
+    assert [str(path).rsplit("/", 1)[1] for path, _, _, _ in ranked] == [
         "a.edges", "a.txt", "b.txt"]
-    assert [(rank_r, rank_rhat) for _, rank_r, rank_rhat in ranked] == [(1, 1), (2, 2), (3, 3)]
+    assert [(rank_r, rank_rhat) for _, _, rank_r, rank_rhat in ranked] == [(1, 1), (2, 2), (3, 3)]
+
+
+def test_rank_directory_rows_hold_each_files_report(tmp_path, sixnode_path):
+    (tmp_path / "sixnode.txt").write_bytes(sixnode_path.read_bytes())
+    ((path, rep, rank_r, rank_rhat),) = rank_directory(tmp_path)
+    assert path == tmp_path / "sixnode.txt"
+    assert (rep.node_count, rep.edge_count, rank_r, rank_rhat) == (6, 6, 1, 1)
+    assert rep.density == pytest.approx(6 / 15)
+    assert rep.global_unnormalised == pytest.approx(5 / 18, abs=1e-12)
+    assert rep.global_normalised == pytest.approx(5 / 27, abs=1e-12)
 
 
 def test_rank_directory_empty(tmp_path):
