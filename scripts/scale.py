@@ -143,25 +143,20 @@ def _attach(p: Point, side: str, work: Path, patch, timed):
     return codes.size, codes
 
 
+def _rebuilt(g, new):
+    """What attachment's splice returns, by the full rebuild: one sort of
+    both directions of every edge, and no kept codes."""
+    return graph.from_codes(g.n, np.sort(np.concatenate((g.codes(), new))), labels=g.labels)
+
+
 def _fig5(p: Point, side: str, work: Path, patch, timed):
-    """A fig5 sweep with the shared-neighbour counts carried from step to
-    step, against the same steps through plain add_edges, which rebuilds
-    them from A @ A at every step."""
+    """A fig5 sweep that splices each step's new edges into its graph,
+    against the same sweep rebuilding each step's graph by from_codes."""
+    if side == "ref":
+        patch(attachment, "_splice", _rebuilt)
     g = generators.gen_rhgg(p.n, p.density, seed=100)
-    seed, fractions = _FIG5_SEEDS[p.kind], attachment.DEFAULT_FRACTIONS
-
-    def rebuilt():
-        cur, steps = g, []
-        for f, step_seed in zip(fractions, np.random.default_rng(seed).integers(
-                0, 2**63, size=len(fractions))):
-            need = int(round(g.m * (1.0 + f))) - cur.m
-            if need > 0:
-                cur = attachment.add_edges(cur, p.kind, need, int(step_seed))
-            steps.append((f, cur.m, complexity.nhc_global(cur)))
-        return steps
-
-    steps = timed(rebuilt if side == "ref" else lambda: [
-        tuple(s) for s in attachment.density_sweep(g, p.kind, fractions, seed)])
+    steps = timed(lambda: [tuple(s) for s in attachment.density_sweep(
+        g, p.kind, attachment.DEFAULT_FRACTIONS, _FIG5_SEEDS[p.kind])])
     return steps[-1][1], steps
 
 
@@ -170,7 +165,7 @@ def _gen(kind: str, n: int, density: float, sigma: float = 0.3, ref: bool = True
                  ("new", "ref") if ref else ("new",), compare=kind != "er")
 
 
-_FIG5_SEEDS = {"similarity": 1, "combined": 2}
+_FIG5_SEEDS = {"random": 3, "hierarchical": 4, "similarity": 1, "combined": 2}
 # ref=False: ranking every pair would take 5e9 pairs; repair-10000 has no
 # ref side: the numpy draw loop would take about 4 minutes and over 4 GB
 POINTS = {p.name: p for p in [

@@ -12,12 +12,16 @@ probability weight over the weight still open) on the weights frozen at the
 start of the step.  A batch that needs every positive-weight non-edge takes
 them all and draws the rest uniformly; a map with no positive weight falls
 back to uniform attachment with a logged notice.  A sweep returns one
-``SweepStep`` (fraction, edge count, R-hat) per fraction, and carries the
-shared-neighbour pairs and counts from step to step: ``add_edges`` updates
-them from the codes D it drew, by (A + D)^2 = A^2 + DA + AD + D^2, and only
-the sweep's start builds them from ``A @ A``.  The counts are exact
-integers, so each step sees the weights a rebuild would give.  Each
-weighting has one draw, used at every n:
+``SweepStep`` (fraction, edge count, R-hat) per fraction.  ``add_edges``
+splices the codes D it drew into the graph it grows (``graph._splice``),
+so a step costs a search per new edge and one copy of the arrays, not a
+sort of every edge, and the grown graph keeps its codes.  A sweep carries
+the shared-neighbour pairs and counts from step to step: ``add_edges``
+updates them from D, by (A + D)^2 = A^2 + DA + AD + D^2, and they start
+from one ``A @ A`` per base graph, kept read-only so that the similarity
+and combined sweeps of one base share it.  The counts are exact integers,
+so each step sees the weights a rebuild would give.  Each weighting has
+one draw, used at every n:
 
 * uniform (random, top-ups, fallbacks): distinct ranks among the open pairs,
   mapped to pair codes in O(m + count) without listing them;
@@ -30,14 +34,14 @@ weighting has one draw, used at every n:
 from __future__ import annotations
 
 import logging
+import weakref
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .complexity import nhc_global
-from .graph import (Graph, _non_edge_blocks, _nth_non_edges, complement_codes, from_codes,
-                    sorted_unique)
+from .graph import Graph, _non_edge_blocks, _nth_non_edges, _ranges, _splice, complement_codes
 
 __all__ = [
     "MECHANISMS",
@@ -85,12 +89,6 @@ def _degree_sums(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     return codes, (deg[codes // n] + deg[codes % n]).astype(np.float64)
 
 
-def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Concatenation of ``arange(s, s + l)`` over ``zip(starts, lengths)``."""
-    offsets = np.cumsum(lengths) - lengths
-    return np.repeat(starts - offsets, lengths) + np.arange(int(lengths.sum()))
-
-
 def _find(a: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Insertion points of ``x`` in the ascending array ``a``, and a mask of
     the values of ``x`` found there."""
@@ -100,12 +98,28 @@ def _find(a: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return pos, a[pos.clip(max=a.size - 1)] == x
 
 
+# graph -> the codes and counts of its shared-neighbour pairs, read-only, so
+# that the similarity and combined sweeps of one base build them once; the
+# one entry goes with its graph or at the next graph's build, so a driver
+# that holds all its bases holds one base's pairs
+_BUILT: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 class _SharedPairs:
     """The non-adjacent pairs of a graph with >= 1 shared neighbour: their
     ascending ``codes`` and shared ``counts`` (exact integers in float64).
-    A sweep builds one from ``A @ A``; ``add_edges`` grows it."""
+    They start from one ``A @ A`` per graph, kept read-only in a memo;
+    ``add_edges`` grows them into new arrays."""
 
     def __init__(self, g: Graph) -> None:
+        built = _BUILT.get(g)
+        if built is None:
+            _BUILT.clear()
+            built = _BUILT[g] = self._build(g)
+        self.codes, self.counts = built
+
+    @staticmethod
+    def _build(g: Graph) -> tuple[np.ndarray, np.ndarray]:
         from scipy import sparse
 
         a = sparse.csr_matrix(
@@ -126,7 +140,10 @@ class _SharedPairs:
         codes, counts = codes[order], counts[order]
         del order
         pos, edge = _find(codes, g.codes())  # drop the pairs that are edges
-        self.codes, self.counts = np.delete(codes, pos[edge]), np.delete(counts, pos[edge])
+        codes, counts = np.delete(codes, pos[edge]), np.delete(counts, pos[edge])
+        codes.setflags(write=False)
+        counts.setflags(write=False)
+        return codes, counts
 
     def weights(self, g: Graph, mechanism: str) -> np.ndarray:
         """The Jaccard overlap (similarity) or the shared count (combined)
@@ -152,7 +169,8 @@ class _SharedPairs:
         codes ``new`` (u < v, any order), where ``codes`` are h's ascending
         edge codes: (A + D)^2 = A^2 + DA + AD + D^2, so a pair gains one
         count per two-hop path through a new edge.  Each array is replaced
-        as soon as its update is ready, so the old one can go."""
+        as soon as its update is ready, so the old one can go; only fresh
+        copies are written in place, so the memoised arrays stay as built."""
         n = g.n
         # each new edge from both ends, ascending
         centre, outer = np.divmod(np.sort(np.concatenate((new, new % n * n + new // n))), n)
@@ -213,7 +231,8 @@ def _uniform(g: Graph, taken: np.ndarray, count: int, rng: np.random.Generator) 
     """Codes of ``count`` distinct non-edges of g outside ``taken`` (ascending),
     uniformly: distinct ranks among those pairs, mapped to codes by rank."""
     nth = rng.choice(non_edge_count(g) - taken.size, size=count, replace=False)
-    return _nth_non_edges(g.n, np.sort(np.concatenate((g.codes(), taken))), nth)
+    closed = np.sort(np.concatenate((g.codes(), taken))) if taken.size else g.codes()
+    return _nth_non_edges(g.n, closed, nth)
 
 
 def _take_all(g: Graph, codes: np.ndarray, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -268,11 +287,13 @@ def _by_keys(g: Graph, mechanism: str, count: int, rng: np.random.Generator,
 
 def add_edges(g: Graph, mechanism: str, count: int, seed: int, *,
               pairs: _SharedPairs | None = None) -> Graph:
-    """New graph with ``count`` extra edges drawn by the given mechanism.
+    """New graph with ``count`` extra edges drawn by the given mechanism,
+    spliced into g.
 
     ``pairs`` holds g's shared-neighbour pairs and counts, as a sweep
     carries them, and is grown to those of the new graph from the edges
-    drawn; similarity and combined build them from g when it is omitted.
+    drawn; similarity and combined start them from g's ``A @ A`` when it is
+    omitted.
     """
     if mechanism not in MECHANISMS:
         raise ValueError(f"unknown mechanism {mechanism!r}")
@@ -290,12 +311,13 @@ def add_edges(g: Graph, mechanism: str, count: int, seed: int, *,
         new = _by_degree(g, count, rng)
     else:
         new = _by_keys(g, mechanism, count, rng, _SharedPairs(g) if pairs is None else pairs)
-    codes = sorted_unique(np.concatenate((g.codes(), new)))
-    if codes.size != g.m + count:
+    new = np.sort(new)
+    if (new[1:] == new[:-1]).any() or _find(g.codes(), new)[1].any():
         raise AssertionError("attachment produced an overlapping edge")
+    h = _splice(g, new)
     if pairs is not None:
-        pairs.grow(g, new, codes)
-    return from_codes(g.n, codes, labels=g.labels)
+        pairs.grow(g, new, h.codes())
+    return h
 
 
 class SweepStep(NamedTuple):
@@ -318,8 +340,8 @@ def density_sweep(
 
     Each step draws on the weights of the graph it starts from; the measure
     is recorded after each step, including the f=0 baseline.  Similarity
-    and combined build the shared-neighbour pairs and counts from ``A @ A``
-    once, before the first step, and ``add_edges`` grows them from each
+    and combined start the shared-neighbour pairs and counts from g's
+    ``A @ A`` before the first step, and ``add_edges`` grows them from each
     step's new edges.
     """
     if mechanism not in MECHANISMS:

@@ -18,6 +18,9 @@ point i, ``(m, idx)`` for fig4 and ``(m, b, mech_idx, base_id, g)`` for fig5.
 Tasks fan out over processes when ``workers`` > 1 (or the
 HIERCOMP_WORKERS env var); per-realisation seeds are derived from
 (seed, family, index) so serial and parallel runs emit identical bytes.
+Each driver returns its files' names and texts, and ``run_experiment``
+makes the output directory only once they exist, so a run that fails
+leaves nothing behind.
 """
 
 from __future__ import annotations
@@ -209,13 +212,11 @@ def _model_sweep_task(task):
     ]
 
 
-def run_fig2(m: RunManifest, out_dir: Path) -> list[str]:
+def run_fig2(m: RunManifest) -> dict[str, str]:
     tasks = [(m, family, idx) for family in m.families for idx in range(m.realisations)]
     rows = [row for rows in _pmap(_model_sweep_task, tasks, m.resolved_workers()) for row in rows]
-    path = out_dir / "fig2.csv"
-    path.write_text(_csv_text(
-        ["family", "realisation", "n", "target_density", "density", "measure", "value"], rows))
-    return [path.name]
+    return {"fig2.csv": _csv_text(
+        ["family", "realisation", "n", "target_density", "density", "measure", "value"], rows)}
 
 
 # --------------------------------------------------------------------------
@@ -235,11 +236,10 @@ def _theory_point_task(task):
     return (n, p, theory, mean, sd, len(sims), rel)
 
 
-def run_fig3(m: RunManifest, out_dir: Path) -> list[str]:
+def run_fig3(m: RunManifest) -> dict[str, str]:
     rows = _pmap(_theory_point_task, [(m, i) for i in range(len(m.grid))], m.resolved_workers())
-    path = out_dir / "fig3.csv"
-    path.write_text(_csv_text(["n", "p", "theory", "sim_mean", "sim_sd", "seeds", "rel_error"], rows))
-    return [path.name]
+    return {"fig3.csv": _csv_text(
+        ["n", "p", "theory", "sim_mean", "sim_sd", "seeds", "rel_error"], rows)}
 
 
 # --------------------------------------------------------------------------
@@ -259,16 +259,15 @@ def _heterogeneity_task(task):
     return (idx, sig, d, rep.density, rep.global_normalised), profile
 
 
-def run_fig4(m: RunManifest, out_dir: Path) -> list[str]:
+def run_fig4(m: RunManifest) -> dict[str, str]:
     results = _pmap(_heterogeneity_task, [(m, idx) for idx in range(m.realisations)],
                     m.resolved_workers())
-    p1 = out_dir / "fig4.csv"
-    p2 = out_dir / "fig4_profile.csv"
-    p1.write_text(_csv_text(["realisation", "sigma", "target_density", "density", "value"],
-                            [main for main, _ in results]))
-    p2.write_text(_csv_text(["realisation", "degree", "class_size", "value"],
-                            [row for _, profile in results for row in profile]))
-    return [p1.name, p2.name]
+    return {
+        "fig4.csv": _csv_text(["realisation", "sigma", "target_density", "density", "value"],
+                              [main for main, _ in results]),
+        "fig4_profile.csv": _csv_text(["realisation", "degree", "class_size", "value"],
+                                      [row for _, profile in results for row in profile]),
+    }
 
 
 # --------------------------------------------------------------------------
@@ -296,26 +295,27 @@ def _fig5_bases(m: RunManifest) -> list[tuple[str, Graph]]:
     ))) for b in range(m.base_count)]
 
 
-def run_fig5(m: RunManifest, out_dir: Path) -> list[str]:
+def run_fig5(m: RunManifest) -> dict[str, str]:
     tasks = [(m, b, mech_idx, base_id, g)
              for b, (base_id, g) in enumerate(_fig5_bases(m))
              for mech_idx in range(len(m.mechanisms))]
     rows = [row for rows in _pmap(_attachment_task, tasks, m.resolved_workers()) for row in rows]
-    path = out_dir / "fig5.csv"
-    path.write_text(_csv_text(["base", "mechanism", "fraction", "edges", "value"], rows))
-    return [path.name]
+    return {"fig5.csv": _csv_text(["base", "mechanism", "fraction", "edges", "value"], rows)}
 
 
 EXPERIMENTS = {"fig2": run_fig2, "fig3": run_fig3, "fig4": run_fig4, "fig5": run_fig5}
 
 
 def run_experiment(manifest: RunManifest, out_dir) -> list[Path]:
-    """Run one named experiment; returns the written files (sidecar last)."""
+    """Run one named experiment; returns the written files (sidecar last).
+    The output directory is made only after every output is computed."""
+    texts = EXPERIMENTS[manifest.experiment](manifest)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    outputs = EXPERIMENTS[manifest.experiment](manifest, out)
-    side = _write_sidecar(out, manifest, outputs)
-    return [out / name for name in outputs] + [side]
+    for name, text in texts.items():
+        (out / name).write_text(text)
+    side = _write_sidecar(out, manifest, list(texts))
+    return [out / name for name in texts] + [side]
 
 
 # --------------------------------------------------------------------------

@@ -8,14 +8,19 @@ that NDS extraction is a single gather plus sort over a contiguous slice;
 once.
 
 Edge sets travel between modules in one format: ascending unique int64 pair
-codes ``u * n + v`` with u < v.  :func:`from_codes` is the only way from
-codes to a :class:`Graph` and :meth:`Graph.codes` the way back.  The absent
-pairs are listed here too, in ascending row blocks, or reached by rank
-without listing them.
+codes ``u * n + v`` with u < v.  :func:`from_codes` builds a :class:`Graph`
+from codes by one sort of both directions of every edge, and
+:meth:`Graph.codes` gives them back.  A graph that grows by a few edges,
+as attachment grows it, is spliced from its parent instead (``_splice``):
+the new entries go in at their ranks within their rows, with no sort of
+the old ones, and the grown graph keeps its codes so that
+:meth:`Graph.codes` need not recompute them.  The absent pairs are listed
+here too, in ascending row blocks, or reached by rank without listing them.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +28,10 @@ import numpy as np
 # The complement is listed in ascending row blocks of about this many pairs,
 # so a caller can hold one block, not every absent pair, at a time.
 _BLOCK = 1 << 15
+
+# spliced graph -> its ascending edge codes, read-only; an entry dies with
+# its graph (Graph hashes by identity and is immutable)
+_CODES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 __all__ = [
     "Graph",
@@ -73,7 +82,11 @@ class Graph:
         return pos < row.size and row[pos] == j
 
     def codes(self) -> np.ndarray:
-        """Ascending pair codes u * n + v (u < v) of the edges."""
+        """Ascending pair codes u * n + v (u < v) of the edges; read-only when
+        the graph was spliced from a parent, which kept them."""
+        kept = _CODES.get(self)
+        if kept is not None:
+            return kept
         rows = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees)
         keep = self.indices > rows
         return rows[keep] * self.n + self.indices[keep]
@@ -156,6 +169,41 @@ def from_codes(n: int, codes: np.ndarray, labels=None) -> Graph:
     indices %= n
     return Graph(n=n, m=int(codes.size), indptr=indptr, indices=indices,
                  degrees=degrees, labels=labels)
+
+
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Concatenation of ``arange(s, s + l)`` over ``zip(starts, lengths)``."""
+    offsets = np.cumsum(lengths) - lengths
+    return np.repeat(starts - offsets, lengths) + np.arange(int(lengths.sum()))
+
+
+def _splice(g: Graph, new: np.ndarray) -> Graph:
+    """g plus the edges of ``new``, ascending unique codes of non-edges of g:
+    the graph ``from_codes(g.n, union, labels=g.labels)`` would build, with
+    no sort of g's entries.  Each new entry goes in at its rank within its
+    row, found by a search of the old entries of the rows it joins; the
+    union codes are kept for :meth:`Graph.codes`."""
+    n = g.n
+    lo, hi = np.divmod(new, n)
+    # each new edge from both ends, as row * n + col, ascending
+    rows, cols = np.divmod(np.sort(np.concatenate((new, hi * n + lo))), n)
+    # the old entries of the rows that gain one, as row * n + col, ascending
+    joined = rows[np.flatnonzero(np.diff(rows, prepend=-1))]
+    old = np.repeat(joined * n, g.degrees[joined])
+    old += g.indices[_ranges(g.indptr[joined], g.degrees[joined])]
+    # old entries of the row before the new one, from the row's start
+    rank = np.searchsorted(old, rows * n + cols) - np.searchsorted(old, rows * n)
+    indices = np.insert(g.indices, g.indptr[rows] + rank, cols)
+    degrees = g.degrees + np.bincount(rows, minlength=n)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(degrees, out=indptr[1:])
+    parent = g.codes()
+    codes = np.insert(parent, np.searchsorted(parent, new), new)
+    codes.setflags(write=False)
+    h = Graph(n=n, m=g.m + int(new.size), indptr=indptr, indices=indices,
+              degrees=degrees, labels=g.labels)
+    _CODES[h] = codes
+    return h
 
 
 def _row_starts(n: int) -> np.ndarray:

@@ -427,6 +427,28 @@ def test_carried_pairs_step_of_zero_edges():
     assert np.array_equal(pairs.codes, codes) and np.array_equal(pairs.counts, counts)
 
 
+def test_one_a_squared_per_base_graph(monkeypatch):
+    """The similarity and combined sweeps of one base build its pairs once,
+    and the kept arrays are read-only and unchanged by the sweeps."""
+    g = gen_rhgg(200, 0.03, 4)
+    builds = []
+    build = _SharedPairs._build
+    monkeypatch.setattr(_SharedPairs, "_build", staticmethod(lambda h: builds.append(h) or build(h)))
+    first = _SharedPairs(g)
+    codes, counts = first.codes.copy(), first.counts.copy()
+    for mechanism in ("similarity", "combined"):
+        density_sweep(g, mechanism, (0.0, 0.1, 0.2), seed=1)
+    assert builds == [g]
+    kept = _SharedPairs(g)
+    assert np.array_equal(kept.codes, codes) and np.array_equal(kept.counts, counts)
+    with pytest.raises(ValueError):
+        kept.counts[:1] += 1.0
+    other = gen_rhgg(200, 0.03, 5)
+    _SharedPairs(other)
+    _SharedPairs(g)  # the next graph's build replaced g's pairs
+    assert builds == [g, other, g]
+
+
 def per_step_sweep(g, mechanism, fractions, seed):
     """density_sweep's steps and seeds, every step through plain add_edges."""
     step_seeds = np.random.default_rng(seed).integers(0, 2**63, size=len(fractions))
@@ -439,11 +461,27 @@ def per_step_sweep(g, mechanism, fractions, seed):
     return out
 
 
-@pytest.mark.parametrize("mechanism", ["similarity", "combined"])
+def rebuilt_sweep(g, mechanism, fractions, seed):
+    """per_step_sweep with every step's graph rebuilt by from_codes from its
+    codes, so that neither the draws nor the measure see a spliced graph."""
+    step_seeds = np.random.default_rng(seed).integers(0, 2**63, size=len(fractions))
+    cur, out = g, []
+    for f, step_seed in zip(fractions, step_seeds):
+        need = int(round(g.m * (1.0 + f))) - cur.m
+        if need > 0:
+            codes = np.array(add_edges(cur, mechanism, need, int(step_seed)).codes())
+            cur = from_codes(g.n, codes)
+        out.append((f, cur.m, nhc_global(cur)))
+    return out
+
+
+@pytest.mark.parametrize("mechanism", MECHANISMS)
 @pytest.mark.parametrize("case", ["rhgg", "path30pad1000", "matching", "repeated"])
 def test_density_sweep_matches_per_step_add_edges(mechanism, case):
-    """The sweep that carries the pairs gives the trace of per-step
-    add_edges: big steps, top-ups, the uniform fallback, 0-edge steps."""
+    """The sweep that carries the pairs and splices each step's edges gives
+    the trace of per-step add_edges, and of a loop that rebuilds every
+    step's graph from its codes, bit for bit: big steps, top-ups, the
+    uniform fallback, 0-edge steps."""
     fractions = (0.0, 0.05, 0.2, 0.5, 2.0)
     if case == "rhgg":
         g = gen_rhgg(300, 0.01, 3)
@@ -455,5 +493,6 @@ def test_density_sweep_matches_per_step_add_edges(mechanism, case):
     else:
         g = gen_er(80, 0.05, 9)
         fractions = (0.0, 0.0, 0.1, 0.1, 0.101, 0.3)
-    steps = density_sweep(g, mechanism, fractions, seed=21)
-    assert [tuple(s) for s in steps] == per_step_sweep(g, mechanism, fractions, 21)
+    steps = [tuple(s) for s in density_sweep(g, mechanism, fractions, seed=21)]
+    assert steps == per_step_sweep(g, mechanism, fractions, 21)
+    assert steps == rebuilt_sweep(g, mechanism, fractions, 21)

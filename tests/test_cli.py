@@ -204,6 +204,25 @@ def test_sweep_malformed_manifest_exits_2(tmp_path, capsys, experiment, settings
     assert not out.exists()
 
 
+@pytest.mark.parametrize("experiment, settings", [
+    ("fig5", {"inputs": ["nope.txt"]}),  # the read finds the missing file
+    ("fig3", {"grid": [[2, 0.5]]}),  # the closed form rejects n = 2
+])
+def test_sweep_that_fails_in_its_work_exits_2_and_writes_nothing(
+        tmp_path, capsys, experiment, settings):
+    mpath = tmp_path / "m.json"
+    mpath.write_text(json.dumps({"experiment": experiment, **settings}))
+    out = tmp_path / "out"
+    assert main(["sweep", experiment, "--manifest", str(mpath), "--output-dir", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+    # a directory that was there before the run stays, with what it held
+    out.mkdir()
+    (out / "kept.txt").write_text("kept\n")
+    assert main(["sweep", experiment, "--manifest", str(mpath), "--output-dir", str(out)]) == 2
+    assert [p.name for p in out.iterdir()] == ["kept.txt"]
+
+
 def test_choices_come_from_the_registries():
     sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
 

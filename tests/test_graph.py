@@ -99,6 +99,62 @@ def test_from_codes_matches_build_graph():
     assert (empty.m, empty.degrees.tolist(), empty.indptr.tolist()) == (0, [0, 0, 0], [0, 0, 0, 0])
 
 
+def assert_spliced(g, new):
+    """_splice(g, new) is the graph from_codes builds from the union, array
+    for array and dtype for dtype, and keeps the union codes read-only."""
+    h = graph._splice(g, new)
+    union = np.sort(np.concatenate((g.codes(), new)))
+    want = from_codes(g.n, union, labels=g.labels)
+    for name in ("indptr", "indices", "degrees"):
+        got, ref = getattr(h, name), getattr(want, name)
+        assert got.dtype == ref.dtype and np.array_equal(got, ref), name
+    assert (h.n, h.m, h.labels) == (want.n, want.m, want.labels)
+    codes = h.codes()
+    assert codes is h.codes()  # kept, not recomputed
+    assert codes.dtype == np.int64 and np.array_equal(codes, want.codes())
+    with pytest.raises(ValueError):
+        codes[:1] = 0
+    return h
+
+
+@given(n=st.integers(2, 30), p=st.floats(0.0, 1.0), share=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2**32 - 1), labelled=st.booleans())
+@example(n=2, p=0.0, share=1.0, seed=0, labelled=False)  # the one pair of n = 2
+@example(n=6, p=0.9, share=1.0, seed=1, labelled=True)  # fill every missing pair
+@example(n=30, p=0.0, share=0.01, seed=2, labelled=False)  # mostly isolated nodes
+@settings(max_examples=150, deadline=None)
+def test_splice_matches_from_codes(n, p, share, seed, labelled):
+    rng = np.random.default_rng(seed)
+    every = complement_codes(n, np.empty(0, np.int64))
+    g = from_codes(n, every[rng.random(every.size) < p],
+                   labels=tuple(f"v{i}" for i in range(n)) if labelled else None)
+    free = complement_codes(n, g.codes())
+    new = np.sort(rng.choice(free, size=round(share * free.size), replace=False))
+    h = assert_spliced(g, new)
+    # a spliced graph splices again, from its kept codes
+    assert_spliced(h, complement_codes(n, h.codes())[: 2])
+
+
+def test_splice_at_row_starts_row_ends_and_empty_rows():
+    # 0 and 5 isolated, 1-2-3-4 a path: (0, 1) opens row 0 and goes first in
+    # row 1; (1, 4) goes last in row 1 and first in row 4; (2, 5) goes last
+    # in row 2 and opens row 5; (4, 5) goes last in rows 4 and 5
+    g = build_graph([(1, 2), (2, 3), (3, 4)], n_hint=6)
+    h = assert_spliced(g, np.array([0 * 6 + 1, 1 * 6 + 4, 2 * 6 + 5, 4 * 6 + 5]))
+    assert [h.neighbors(i).tolist() for i in range(6)] == [
+        [1], [0, 2, 4], [1, 3, 5], [2, 4], [1, 3, 5], [2, 4]]
+    assert_spliced(g, np.empty(0, np.int64))
+
+
+def test_spliced_codes_memo_is_read_only_and_plain_graphs_keep_none():
+    g = build_graph(SIX_EDGES)
+    assert g.codes() is not g.codes() and g.codes().flags.writeable
+    h = graph._splice(g, np.array([0 * 6 + 5], dtype=np.int64))
+    with pytest.raises(ValueError):
+        h.codes()[0] += 1
+    assert h.codes().tolist() == sorted(g.codes().tolist() + [5])
+
+
 @given(n=st.integers(1, 40), p=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1),
        block=st.sampled_from([1, 7, 1 << 15]))
 @settings(max_examples=60, deadline=None)

@@ -13,7 +13,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "scripts"))  # also seen by the runner's spawned children
 import scale  # noqa: E402
-from hiercomp import complexity  # noqa: E402
+from hiercomp import complexity, graph  # noqa: E402
 
 SMALL_N = 600
 
@@ -75,3 +75,18 @@ def test_measures_reference_side_runs_the_kernel_per_measure(tmp_path, monkeypat
         with monkeypatch.context() as mp:
             scale.measure(small, side, tmp_path, mp.setattr)
         assert len(passes) == count, side
+
+
+@pytest.mark.parametrize("mechanism", ["random", "similarity"])
+def test_fig5_reference_side_rebuilds_every_step(tmp_path, monkeypatch, mechanism):
+    small = dataclasses.replace(scale.POINTS[f"fig5-{mechanism}-8000"], n=300)
+    builds = []
+    from_codes = graph.from_codes
+    monkeypatch.setattr(graph, "from_codes", lambda *a, **k: builds.append(1) or from_codes(*a, **k))
+    shas = []
+    for side, rebuilds in (("new", False), ("ref", True)):
+        builds.clear()
+        with monkeypatch.context() as mp:
+            shas.append(scale.measure(small, side, tmp_path, mp.setattr)["sha"])
+        assert bool(builds) == rebuilds, side  # the generators' own builds are not counted
+    assert shas[0] == shas[1]
