@@ -11,22 +11,17 @@ from .complexity import (
     ComplexityReport,
     class_sigmas,
     complexity_report,
-    hc_global,
-    hc_k,
     nhc_alt_sqrtk,
     nhc_global,
-    nhc_k,
 )
 from .generators import ModelSpec, gen_config, gen_er, gen_rgg, gen_rhgg, generate
-from .graph import Graph, build_graph, component_count, degree_support_d2, nds
+from .graph import Graph, build_graph, component_count, degree_support_d2
 from .theory import (
     BinomialDistribution,
     TheoryApprox,
     UniformDistribution,
     corollary_bound,
-    gaussian_pmf_at_quantile,
     nhc_global_approx,
-    nhc_k_approx,
     order_stat_sigma,
 )
 from .workbench import read_edgelist, residual_correlation, spearman, write_edgelist
@@ -34,13 +29,12 @@ from .workbench import read_edgelist, residual_correlation, spearman, write_edge
 __version__ = "0.1.0"
 
 __all__ = [
-    "Graph", "build_graph", "nds", "degree_support_d2", "component_count",
-    "class_sigmas", "hc_k", "hc_global", "nhc_k", "nhc_global",
-    "nhc_alt_sqrtk", "ComplexityReport", "complexity_report",
+    "Graph", "build_graph", "degree_support_d2", "component_count",
+    "class_sigmas", "nhc_global", "nhc_alt_sqrtk", "ComplexityReport",
+    "complexity_report",
     "ModelSpec", "gen_er", "gen_rgg", "gen_rhgg", "gen_config", "generate",
     "BinomialDistribution", "UniformDistribution", "order_stat_sigma",
-    "nhc_k_approx", "nhc_global_approx", "corollary_bound",
-    "gaussian_pmf_at_quantile", "TheoryApprox",
+    "nhc_global_approx", "corollary_bound", "TheoryApprox",
     "MECHANISMS", "edge_weights", "add_edges", "density_sweep",
     "SweepStep",
     "read_edgelist", "write_edgelist", "spearman", "residual_correlation",

@@ -29,9 +29,6 @@ from .graph import Graph, component_count, degree_support_d2
 
 __all__ = [
     "class_sigmas",
-    "hc_k",
-    "hc_global",
-    "nhc_k",
     "nhc_global",
     "nhc_alt_sqrtk",
     "ComplexityReport",
@@ -116,13 +113,6 @@ def _class_table(g: Graph) -> dict[int, tuple[int, float, float]]:
     return table
 
 
-def _class_row(g: Graph, k: int) -> tuple[int, float, float]:
-    row = _class_table(g).get(k)
-    if row is None:
-        raise ValueError(f"degree {k} is not held by at least two nodes")
-    return row
-
-
 def _mean(terms: list[float]) -> float:
     return math.fsum(terms) / len(terms) if terms else 0.0
 
@@ -132,25 +122,9 @@ def _warn_above_one(value: float, g: Graph) -> None:
         log.warning("normalised complexity %.6f exceeds 1 (n=%d, m=%d)", value, g.n, g.m)
 
 
-def hc_k(g: Graph, k: int) -> float:
-    """Mean column variance of the degree-k NDS matrix."""
-    return _class_row(g, k)[2] / k
-
-
-def hc_global(g: Graph) -> float:
-    """Average of :func:`hc_k` over the supported degrees; 0 when none."""
-    return _mean([sq / k for k, (_, _, sq) in _class_table(g).items()])
-
-
-def nhc_k(g: Graph, k: int) -> float:
-    """Sum of degree-k column sds over (1 - density) * edge_count."""
-    if g.density == 1.0:
-        raise ValueError("normalisation singular: density is 1")
-    return _class_row(g, k)[1] / ((1.0 - g.density) * g.m)
-
-
 def nhc_global(g: Graph) -> float:
-    """Average of :func:`nhc_k` over the supported degrees.
+    """R_hat: the mean over the degree classes of R_hat_k, a class's sum of
+    column sds over (1 - density) * edge_count.
 
     Complete graphs short-circuit to 0 before the singular normalisation.
     """
@@ -187,7 +161,9 @@ class ComplexityReport:
     d2_size: int
     global_unnormalised: float
     global_normalised: float
-    per_degree: dict[int, tuple[float, float, int]]  # k -> (hc_k, nhc_k, ell)
+    # k -> (R_k, R_hat_k, ell): the class's mean column variance, its sum of
+    # column sds over (1 - density) * edge_count, and its size
+    per_degree: dict[int, tuple[float, float, int]]
 
     def to_dict(self) -> dict:
         return {

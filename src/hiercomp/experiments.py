@@ -51,6 +51,12 @@ _INT_FLOORS = {"seed": 0, "realisations": 0, "n": 1, "dims": 1, "seeds_per_point
                "base_count": 0, "workers": 0}
 _REAL_RANGES = {"lognormal_mu": (-math.inf, math.inf), "lognormal_sigma": (0.0, math.inf),
                 "base_density": (0.0, 1.0)}
+# what each bound of a [lo, hi] range setting must be, and its test
+_RANGE_BOUNDS = {
+    "n_range": ("integers >= 1", lambda x: type(x) is int and x >= 1),
+    "density_range": ("numbers in [0, 1]", lambda x: _is_number(x) and 0 <= x <= 1),
+    "sigma_range": ("finite numbers >= 0", lambda x: _is_number(x) and 0 <= x < math.inf),
+}
 
 
 def _is_number(v) -> bool:
@@ -117,10 +123,10 @@ class RunManifest:
                 and all(a <= b for a, b in zip(fr, fr[1:]))):
             raise ValueError("fractions: expected a non-empty, non-decreasing list of finite "
                              f"numbers >= 0, got {fr!r}")
-        for key in ("n_range", "density_range", "sigma_range"):
+        for key, (what, ok) in _RANGE_BOUNDS.items():
             v = getattr(self, key)
-            if not (_list_of(v, _is_number) and len(v) == 2 and v[0] <= v[1]):
-                raise ValueError(f"{key}: expected two ordered numbers [lo, hi], got {v!r}")
+            if not (_list_of(v, ok) and len(v) == 2 and v[0] <= v[1]):
+                raise ValueError(f"{key}: expected two ordered {what} [lo, hi], got {v!r}")
 
     @classmethod
     def from_json(cls, path) -> "RunManifest":

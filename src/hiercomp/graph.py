@@ -39,7 +39,6 @@ __all__ = [
     "from_codes",
     "sorted_unique",
     "complement_codes",
-    "nds",
     "degree_support_d2",
     "component_count",
 ]
@@ -243,11 +242,6 @@ def _nth_non_edges(n: int, codes: np.ndarray, nth: np.ndarray) -> np.ndarray:
     rank = nth + np.searchsorted(before, nth, side="right")
     u = np.searchsorted(starts, rank, side="right") - 1
     return u * n + (rank - starts[u] + u + 1)
-
-
-def nds(g: Graph, i: int) -> np.ndarray:
-    """Neighbourhood degree sequence of node i, ascending."""
-    return np.sort(g.degrees[g.neighbors(i)])
 
 
 def degree_support_d2(g: Graph) -> np.ndarray:

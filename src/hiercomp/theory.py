@@ -22,10 +22,8 @@ __all__ = [
     "BinomialDistribution",
     "UniformDistribution",
     "order_stat_sigma",
-    "nhc_k_approx",
     "nhc_global_approx",
     "corollary_bound",
-    "gaussian_pmf_at_quantile",
     "TheoryApprox",
 ]
 
@@ -124,24 +122,6 @@ def _sigma_sum(k: int, dist) -> tuple[float, int]:
     return total, dropped
 
 
-def nhc_k_approx(n: int, p: float, k: int, dist=None) -> float:
-    """Per-degree estimate of the normalised measure for er(n, p)."""
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    if not 0.0 < p < 1.0:
-        raise ValueError("p must lie strictly in (0, 1)")
-    if k < 1:
-        raise ValueError("k must be positive")
-    if dist is None:
-        dist = BinomialDistribution(n - 1, p)
-    return _nhc_term(n, p, k, _sigma_sum(k, dist)[0])
-
-
-def _nhc_term(n: int, p: float, k: int, total: float) -> float:
-    """2 total / (p(1-p)(n-1) n (k+1) sqrt(k+2)): degree k's normalised term."""
-    return 2.0 * total / (p * (1.0 - p) * (n - 1) * n * (k + 1) * math.sqrt(k + 2))
-
-
 @dataclass(frozen=True)
 class TheoryApprox:
     """Per-degree and range-averaged estimates plus the degree range used."""
@@ -168,9 +148,7 @@ def _degree_bounds(n: int, dist, minmax_quantile: str) -> tuple[int, int]:
     return max(a, 1), b
 
 
-def nhc_global_approx(
-    n: int, p: float, dist=None, minmax_quantile: str = "1/n"
-) -> TheoryApprox:
+def nhc_global_approx(n: int, p: float, minmax_quantile: str = "1/n") -> TheoryApprox:
     """Estimate of the global normalised measure for er(n, p).
 
     The expected degree range [a, b] comes from extreme quantiles of the
@@ -184,8 +162,7 @@ def nhc_global_approx(
         return TheoryApprox({}, 0.0, 0, 0, 0)
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie in [0, 1]")
-    if dist is None:
-        dist = BinomialDistribution(n - 1, p)
+    dist = BinomialDistribution(n - 1, p)
     a, b = _degree_bounds(n, dist, minmax_quantile)
     if b <= a:
         raise ValueError(f"degenerate degree range [{a}, {b}]")
@@ -194,7 +171,7 @@ def nhc_global_approx(
     for k in range(a, b + 1):
         total, miss = _sigma_sum(k, dist)
         dropped += miss
-        per[k] = _nhc_term(n, p, k, total)
+        per[k] = 2.0 * total / (p * (1.0 - p) * (n - 1) * n * (k + 1) * math.sqrt(k + 2))
     global_value = math.fsum(per.values()) / (b - a)
     return TheoryApprox(per, global_value, a, b, dropped)
 
@@ -209,15 +186,3 @@ def corollary_bound(n: int, p: float, minmax_quantile: str = "1/n") -> float:
     _, b = _degree_bounds(n, dist, minmax_quantile)
     return math.sqrt(math.pi) * b / (n * math.sqrt(2.0 * p * (1.0 - p) * (n - 1)))
 
-
-def gaussian_pmf_at_quantile(n: int, p: float, u: float) -> float:
-    """Normal-approximation shortcut for pmf(quantile(u)) of B(n-1, p).
-
-    Diagnostic only: 4 u (1 - u) / sqrt(2 pi (n-1) p (1-p)), the chain the
-    closed-form bound uses in place of exact binomial evaluation.
-    """
-    if not 0.0 < u < 1.0:
-        raise ValueError("u must lie in (0, 1)")
-    if not 0.0 < p < 1.0:
-        raise ValueError("p must lie strictly in (0, 1)")
-    return 4.0 * u * (1.0 - u) / math.sqrt(2.0 * math.pi * (n - 1) * p * (1.0 - p))

@@ -52,16 +52,14 @@ _KEY_BLOCK = 1 << 16  # tokens keyed at once
 _WRITE_BLOCK = 1 << 16  # CSR entries per block of rows written at once
 
 
-def read_edgelist(path, format_hint: str | None = None) -> Graph:
+def read_edgelist(path) -> Graph:
     """Parse an edge-list file into a :class:`Graph`."""
-    if format_hint not in (None, "matrixmarket"):
-        raise ValueError(f"unknown format_hint {format_hint!r}, expected None or 'matrixmarket'")
-    held, labels, n = _read_id_pairs(path, format_hint)
+    held, labels, n = _read_id_pairs(path)
     # build_graph gets the only reference to the id pairs, so it can free them
     return replace(build_graph(held.pop(), n_hint=n), labels=labels)
 
 
-def _read_id_pairs(path, format_hint: str | None) -> tuple[list[np.ndarray], tuple[str, ...], int]:
+def _read_id_pairs(path) -> tuple[list[np.ndarray], tuple[str, ...], int]:
     """The (k, 2) id pairs, in a list of one, labels in first-appearance
     order, and the node count.
 
@@ -91,9 +89,8 @@ def _read_id_pairs(path, format_hint: str | None) -> tuple[list[np.ndarray], tup
             hint = int(found.group(1))
             break
     body, width = first[~comment], width[~comment]
-    mm = format_hint == "matrixmarket" or (
-        starts.size > 0 and np.searchsorted(breaks, starts[0]) == 0
-        and data[starts[0] : starts[0] + 14] == b"%%MatrixMarket")
+    mm = (starts.size > 0 and np.searchsorted(breaks, starts[0]) == 0
+          and data[starts[0] : starts[0] + 14] == b"%%MatrixMarket")
     skip = int(mm and width.size > 0 and width[0] == 3)  # rows cols nnz
     body, width = body[skip:], width[skip:]
     bad = np.flatnonzero((width != 2) & ~(mm & (width == 3)))

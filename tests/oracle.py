@@ -193,15 +193,13 @@ def erdos_gallai_violation(degrees) -> int | None:
 _NODES_HINT = re.compile(r"nodes\s*:?\s*(\d+)", re.IGNORECASE)
 
 
-def read_edgelist_naive(path, format_hint=None) -> tuple[tuple[str, ...], int, set]:
+def read_edgelist_naive(path) -> tuple[tuple[str, ...], int, set]:
     """(labels, n, edges) of an edge-list file, or the reader's ValueError.
 
     Labels come in first-appearance order; edges are (u, v) id pairs, u < v.
     """
     lines = Path(path).read_text().splitlines()
-    mm = format_hint == "matrixmarket"
-    if lines and lines[0].lstrip().startswith("%%MatrixMarket"):
-        mm = True
+    mm = bool(lines) and lines[0].lstrip().startswith("%%MatrixMarket")
     hint = None
     labels: dict[str, int] = {}
     pairs: list[tuple[int, int]] = []

@@ -9,19 +9,20 @@ below in a one-line diff that a review can see and question.
 
 from __future__ import annotations
 
+import importlib
 import inspect
+import pkgutil
 
 import hiercomp
 from hiercomp import experiments
 
 PUBLIC_NAMES = [
-    "Graph", "build_graph", "nds", "degree_support_d2", "component_count",
-    "class_sigmas", "hc_k", "hc_global", "nhc_k", "nhc_global",
-    "nhc_alt_sqrtk", "ComplexityReport", "complexity_report",
+    "Graph", "build_graph", "degree_support_d2", "component_count",
+    "class_sigmas", "nhc_global", "nhc_alt_sqrtk", "ComplexityReport",
+    "complexity_report",
     "ModelSpec", "gen_er", "gen_rgg", "gen_rhgg", "gen_config", "generate",
     "BinomialDistribution", "UniformDistribution", "order_stat_sigma",
-    "nhc_k_approx", "nhc_global_approx", "corollary_bound",
-    "gaussian_pmf_at_quantile", "TheoryApprox",
+    "nhc_global_approx", "corollary_bound", "TheoryApprox",
     "MECHANISMS", "edge_weights", "add_edges", "density_sweep", "SweepStep",
     "read_edgelist", "write_edgelist", "spearman", "residual_correlation",
 ]
@@ -30,13 +31,9 @@ EXPERIMENT_NAMES = ["RunManifest", "run_experiment", "rank_directory", "EXPERIME
 
 PARAMETERS = {
     "build_graph": ["edges", "n_hint"],
-    "nds": ["g", "i"],
     "degree_support_d2": ["g"],
     "component_count": ["g"],
     "class_sigmas": ["g"],
-    "hc_k": ["g", "k"],
-    "hc_global": ["g"],
-    "nhc_k": ["g", "k"],
     "nhc_global": ["g"],
     "nhc_alt_sqrtk": ["g", "sqrt_m"],
     "complexity_report": ["g"],
@@ -46,14 +43,12 @@ PARAMETERS = {
     "gen_config": ["degree_sequence", "seed"],
     "generate": ["spec"],
     "order_stat_sigma": ["i", "k", "dist"],
-    "nhc_k_approx": ["n", "p", "k", "dist"],
-    "nhc_global_approx": ["n", "p", "dist", "minmax_quantile"],
+    "nhc_global_approx": ["n", "p", "minmax_quantile"],
     "corollary_bound": ["n", "p", "minmax_quantile"],
-    "gaussian_pmf_at_quantile": ["n", "p", "u"],
     "edge_weights": ["g", "mechanism"],
     "add_edges": ["g", "mechanism", "count", "seed", "pairs"],
     "density_sweep": ["g", "mechanism", "fractions", "seed"],
-    "read_edgelist": ["path", "format_hint"],
+    "read_edgelist": ["path"],
     "write_edgelist": ["g", "path"],
     "spearman": ["x", "y"],
     "residual_correlation": ["hc", "density", "n_nodes"],
@@ -95,3 +90,13 @@ def test_public_function_parameters_are_pinned():
 def test_settings_records_are_pinned():
     assert _parameters(experiments.RunManifest) == RUN_MANIFEST_FIELDS
     assert _parameters(hiercomp.ModelSpec) == MODEL_SPEC_FIELDS
+
+
+def test_every_listed_name_resolves():
+    """A name deleted from a module but left in its ``__all__`` would break
+    ``from hiercomp.<module> import *``."""
+    modules = [hiercomp] + [importlib.import_module(f"hiercomp.{info.name}")
+                            for info in pkgutil.iter_modules(hiercomp.__path__)]
+    missing = [f"{m.__name__}.{name}" for m in modules for name in getattr(m, "__all__", ())
+               if not hasattr(m, name)]
+    assert missing == []

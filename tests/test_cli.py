@@ -191,6 +191,7 @@ def test_sweep_experiment_mismatch(tmp_path, capsys):
     ("fig5", {"fractions": "x"}, "fractions"),
     ("fig5", {"fractions": [0.0, 0.02, 0.01]}, "fractions"),
     ("fig5", {"inputs": ["net.txt", 3]}, "inputs"),
+    ("fig4", {"density_range": [0.5, 1.5], "realisations": 1}, "density_range"),
 ])
 def test_sweep_malformed_manifest_exits_2(tmp_path, capsys, experiment, settings, key):
     mpath = tmp_path / "m.json"

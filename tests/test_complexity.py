@@ -14,15 +14,7 @@ from hypothesis import strategies as st
 
 import oracle
 from hiercomp import complexity
-from hiercomp.complexity import (
-    class_sigmas,
-    complexity_report,
-    hc_global,
-    hc_k,
-    nhc_alt_sqrtk,
-    nhc_global,
-    nhc_k,
-)
+from hiercomp.complexity import class_sigmas, complexity_report, nhc_alt_sqrtk, nhc_global
 from hiercomp.generators import gen_er, gen_rhgg
 from hiercomp.graph import build_graph, from_codes
 
@@ -48,11 +40,12 @@ def complete_edges(n):
 
 def test_sixnode_frozen_values():
     g = build_graph(SIX_EDGES)
-    assert hc_global(g) == pytest.approx(SIX_R, abs=1e-12)
+    rep = complexity_report(g)
+    assert rep.global_unnormalised == pytest.approx(SIX_R, abs=1e-12)
     assert nhc_global(g) == pytest.approx(SIX_R_HAT, abs=1e-12)
     for k in (1, 2, 3):
-        assert hc_k(g, k) == pytest.approx(SIX_PER_DEGREE_R[k], abs=1e-12)
-        assert nhc_k(g, k) == pytest.approx(SIX_PER_DEGREE_R_HAT[k], abs=1e-12)
+        assert rep.per_degree[k][0] == pytest.approx(SIX_PER_DEGREE_R[k], abs=1e-12)
+        assert rep.per_degree[k][1] == pytest.approx(SIX_PER_DEGREE_R_HAT[k], abs=1e-12)
     assert nhc_alt_sqrtk(g, sqrt_m=False) == pytest.approx(SIX_SQRTK, abs=1e-12)
     assert nhc_alt_sqrtk(g, sqrt_m=True) == pytest.approx(SIX_SQRTK_SQRTM, abs=1e-12)
 
@@ -94,11 +87,11 @@ def test_sixnode_report_fields():
 def test_regular_graphs_are_exactly_zero(n):
     for edges in (cycle_edges(n), complete_edges(n)):
         g = build_graph(edges)
-        assert hc_global(g) == 0.0
         assert nhc_global(g) == 0.0
         rep = complexity_report(g)
         assert rep.global_unnormalised == 0.0
         assert rep.global_normalised == 0.0
+        assert all(rk == nk == 0.0 for rk, nk, _ in rep.per_degree.values())
 
 
 def test_complete_graph_normalisation_short_circuit():
@@ -106,8 +99,6 @@ def test_complete_graph_normalisation_short_circuit():
     assert g.density == 1.0
     assert nhc_global(g) == 0.0
     assert nhc_alt_sqrtk(g) == 0.0
-    with pytest.raises(ValueError, match="normalisation singular"):
-        nhc_k(g, 4)
     rep = complexity_report(g)
     assert rep.per_degree[4] == (0.0, 0.0, 5)
 
@@ -115,20 +106,10 @@ def test_complete_graph_normalisation_short_circuit():
 def test_empty_graph_measures_are_zero():
     g = build_graph([], n_hint=5)
     assert g.m == 0
-    assert hc_global(g) == 0.0
     assert nhc_global(g) == 0.0
     rep = complexity_report(g)
+    assert rep.global_unnormalised == 0.0
     assert rep.d2_size == 0 and rep.per_degree == {}
-
-
-def test_degree_class_guards():
-    g = build_graph(SIX_EDGES)
-    for _ in range(2):  # before and after the class table is built
-        with pytest.raises(ValueError, match="not held by at least two nodes"):
-            hc_k(g, 4)
-        with pytest.raises(ValueError, match="not held by at least two nodes"):
-            nhc_k(g, 0)
-        complexity_report(g)
 
 
 @pytest.mark.parametrize("shape", [(2, 1), (2, 7), (3, 40), (57, 12), (400, 3)])
@@ -171,13 +152,12 @@ MEMO_GRAPHS = (gen_rhgg(300, 0.05, seed=31, lognormal_sigma=0.5), gen_er(400, 0.
 
 
 def _measures(g):
-    ks = [k for k, _, _ in class_sigmas(g)]
     return {
         "nhc": lambda: nhc_global(g),
         "sqrtk": lambda: nhc_alt_sqrtk(g, sqrt_m=False),
         "sqrtk-sqrtm": lambda: nhc_alt_sqrtk(g, sqrt_m=True),
-        "hc": lambda: hc_global(g),
-        "per-k": lambda: [(hc_k(g, k), nhc_k(g, k)) for k in ks],
+        "hc": lambda: complexity_report(g).global_unnormalised,
+        "per-k": lambda: [(rk, nk) for rk, nk, _ in complexity_report(g).per_degree.values()],
         "report": lambda: complexity_report(g).to_dict(),
     }
 
@@ -233,7 +213,7 @@ def test_random_graphs_match_oracle(p):
 def test_relabelling_invariance(perm):
     relabelled = [(perm[a], perm[b]) for a, b in SIX_EDGES]
     g = build_graph(relabelled)
-    assert hc_global(g) == pytest.approx(SIX_R, abs=1e-12)
+    assert complexity_report(g).global_unnormalised == pytest.approx(SIX_R, abs=1e-12)
     assert nhc_global(g) == pytest.approx(SIX_R_HAT, abs=1e-12)
 
 
@@ -249,4 +229,5 @@ def test_relabelling_invariance_random_graphs(edges, perm):
         return
     g2 = build_graph([(perm[a], perm[b]) for a, b in edges], n_hint=7)
     assert nhc_global(g1) == pytest.approx(nhc_global(g2), rel=1e-9, abs=1e-12)
-    assert hc_global(g1) == pytest.approx(hc_global(g2), rel=1e-9, abs=1e-12)
+    assert complexity_report(g1).global_unnormalised == pytest.approx(
+        complexity_report(g2).global_unnormalised, rel=1e-9, abs=1e-12)

@@ -81,6 +81,14 @@ def test_manifest_rejects_unknown_keys(tmp_path):
     ({"fractions": (0.0, True)}, "fractions"),
     ({"inputs": "net.txt"}, "inputs"),
     ({"inputs": ("net.txt", 3)}, "inputs"),
+    ({"n_range": (0, 0)}, "n_range"),
+    ({"n_range": (50.5, 60.2)}, "n_range"),
+    ({"n_range": (50, 60.0)}, "n_range"),
+    ({"density_range": (0.5, 1.5)}, "density_range"),
+    ({"density_range": (-0.1, 0.5)}, "density_range"),
+    ({"sigma_range": (-1, -0.5)}, "sigma_range"),
+    ({"sigma_range": (0.0, float("inf"))}, "sigma_range"),
+    ({"sigma_range": (float("nan"), 1.0)}, "sigma_range"),
 ])
 def test_manifest_rejects_malformed_settings_when_built(settings, key):
     with pytest.raises(ValueError, match=f"^{key}:"):
@@ -96,7 +104,8 @@ def test_manifest_accepts_scalar_settings_at_their_bounds():
 
 def test_manifest_accepts_tuple_settings_at_their_bounds():
     m = RunManifest(experiment="fig3", families=[], mechanisms=["random"], grid=[[2, 0], [3, 1.0]],
-                    fractions=[0, 0, 0.5], inputs=["a.txt"])
+                    fractions=[0, 0, 0.5], inputs=["a.txt"], n_range=[1, 1],
+                    density_range=[0, 1.0], sigma_range=[0, 0])
     assert m.grid == [[2, 0], [3, 1.0]] and m.fractions == [0, 0, 0.5]
 
 

@@ -26,7 +26,7 @@ if __name__ == "__main__":  # run as a script from a checkout
 
 from hiercomp.attachment import MECHANISMS, add_edges, edge_weights, non_edge_count
 from hiercomp.cli import main
-from hiercomp.complexity import complexity_report, hc_global, nhc_alt_sqrtk, nhc_global
+from hiercomp.complexity import complexity_report, nhc_alt_sqrtk, nhc_global
 from hiercomp.experiments import RunManifest, run_experiment
 from hiercomp.generators import ModelSpec, child_seed, gen_config, gen_er, gen_rgg, gen_rhgg, generate
 from hiercomp.graph import build_graph
@@ -82,7 +82,7 @@ GOLDEN_REPORTS = {
     "rhg-90": "d43053a3607ddce844070e1dd352d82e0f4219d8370d5fc76692e91561bd9a71",
 }
 
-# repr of [hc_global, nhc_global, sqrt-k, sqrt-k sqrt-m]
+# repr of [R, nhc_global, sqrt-k, sqrt-k sqrt-m]
 GOLDEN_MEASURES = {
     "sixnode": "6a947695a6f52aeb0b4247c8fdf38dcbea10da499e49cfc06cb8588bc0eee13c",
     "er-40": "d28e12acc9124b5f0ba14057c627e5185619fdfee21fd2e9d10047226bbed79d",
@@ -178,7 +178,6 @@ GOLDEN_LARGE = {
 GOLDEN_IO = {
     "mm-banner-values": "fb863d3290d87b8449d5ae37e34e3943e63e0823924e3e739beb8f007dbfe36f",
     "labels-comments-hint": "70694274518da951cdacb9ed8cc97acbcc3df2dd80935b5838f5095bf005052f",
-    "mm-hint-no-banner": "e0de29b4f1c24dc663526fc644ce2a1d88a835bb6ea702e1cebdea60e76c651f",
     "line-ends-separators": "f3c2c415fcdfe2f52b99c8dfe382e26acb76d29859566cb41a3791b132cc6948",
     "labels-prefix-length-utf8": "5fdb14bf47fa36ed6373eb60bee95c028cc3abff1fb454a1577c7237e9405e92",
     "write-trailing-isolated": "d6e665863a82fc6c40fd53bb2798bac793e5fcfd5cd34766d6ebfd0d2390eed5",
@@ -412,13 +411,13 @@ def block_hashes(tmp_path) -> dict[str, str]:
 
 
 def _io_files():
-    """(name, format_hint, text) of edge-list files covering every reader rule."""
+    """(name, text) of edge-list files covering every reader rule."""
     rng = np.random.default_rng(61)
     rows = [f"{u} {v} {w!r}" if k % 3 else f"{u} {v}"
             for k, (u, v, w) in enumerate(zip(
                 rng.integers(1, 121, 400).tolist(), rng.integers(1, 121, 400).tolist(),
                 rng.random(400).round(4).tolist()))]
-    yield "mm-banner-values", None, (
+    yield "mm-banner-values", (
         "%%MatrixMarket matrix coordinate real symmetric\n% generated\n"
         "120 120 400\n" + "\n".join(rows) + "\n")
     words = [f"w{i}" for i in rng.permutation(90).tolist()] + ["alpha", "b-2", "Z.z"]
@@ -432,11 +431,9 @@ def _io_files():
             lines.append(lines[-1])  # duplicate pair
         if k % 97 == 0:
             lines += ["", "   ", "#   nodes: 150", "% not a hint"]
-    yield "labels-comments-hint", None, "\n".join(lines) + "\n"
-    body = [f"{u} {v}" if k % 2 else f"{u} {v} 1.5"
-            for k, (u, v) in enumerate(zip(rng.integers(1, 60, 200).tolist(),
-                                           rng.integers(1, 60, 200).tolist()))]
-    yield "mm-hint-no-banner", "matrixmarket", "% no banner\n59 59 200\n" + "\n".join(body) + "\n"
+    yield "labels-comments-hint", "\n".join(lines) + "\n"
+    # two draws that no case reads, so that the cases below keep their recorded streams
+    rng.integers(1, 60, 200), rng.integers(1, 60, 200)
     # every ASCII line end, \x1f and tabs inside lines, no trailing newline
     ends = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\n\r", "\r\r\n"]
     seps = [" ", "\t", "\x1f", " \x1f\t"]
@@ -445,7 +442,7 @@ def _io_files():
         text += seps[k % 4][::-1] * (k % 3 == 0) + f"{u}{seps[k % 4]}{v}" + ends[k % 10]
         if k % 41 == 0:
             text += "# nodes: 65" + ends[(k + 3) % 10] + "\x1f\t" + ends[k % 10]
-    yield "line-ends-separators", None, text + "58\x1f59"
+    yield "line-ends-separators", text + "58\x1f59"
     labels = ["1234567", "12345678", "123456789", "7", "007", "abcdefgh", "abcdefgh1",
               "abcdefgh2", "abcdefghijklmnop", "abcdefghijklmnopq", "ab", "ab\x00", "naïve",
               "東京", "ü", "\U0001f600", "ÿÿÿÿÿÿÿÿ", "#b", "%c", "a#"]
@@ -453,7 +450,7 @@ def _io_files():
     heads = [lab for lab in labels if lab[0] not in "#%"]  # a second token may start with '#'
     for a, b in zip(rng.integers(0, len(heads), 500).tolist(), rng.integers(0, len(labels), 500).tolist()):
         lines.append(f"{heads[a]} {labels[b]}")
-    yield "labels-prefix-length-utf8", None, "\n".join(lines) + "\n"
+    yield "labels-prefix-length-utf8", "\n".join(lines) + "\n"
 
 
 def _digit_width_graph(rng):
@@ -469,10 +466,10 @@ def _digit_width_graph(rng):
 
 def io_hashes(tmp_path) -> dict[str, str]:
     out = {}
-    for name, hint, text in _io_files():
+    for name, text in _io_files():
         path = tmp_path / f"{name}.txt"
         path.write_bytes(text.encode())
-        g = read_edgelist(path, format_hint=hint)
+        g = read_edgelist(path)
         out[name] = _sha(f"{_csr_sha(g)} {g.n} {g.labels!r}".encode())
     rng = np.random.default_rng(62)
     pairs = rng.integers(0, 4000, size=(30_000, 2))
@@ -555,8 +552,8 @@ def report_hashes(sixnode) -> dict[str, str]:
 def measure_hashes(sixnode) -> dict[str, str]:
     out = {}
     for name, g in _graphs(sixnode):
-        values = [hc_global(g), nhc_global(g), nhc_alt_sqrtk(g, sqrt_m=False),
-                  nhc_alt_sqrtk(g, sqrt_m=True)]
+        values = [complexity_report(g).global_unnormalised, nhc_global(g),
+                  nhc_alt_sqrtk(g, sqrt_m=False), nhc_alt_sqrtk(g, sqrt_m=True)]
         out[name] = _sha(repr(values).encode())
     return out
 

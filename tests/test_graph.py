@@ -18,7 +18,6 @@ from hiercomp.graph import (
     component_count,
     degree_support_d2,
     from_codes,
-    nds,
 )
 
 SIX_EDGES = [(0, 1), (1, 2), (2, 3), (1, 3), (3, 4), (4, 5)]
@@ -177,15 +176,6 @@ def test_graph_arrays_are_read_only():
         g.degrees[0] = 5
     with pytest.raises(ValueError):
         g.indices[0] = 5
-
-
-def test_nds_sorted_and_matches_oracle():
-    g = build_graph(SIX_EDGES)
-    adj = oracle.adjacency(6, SIX_EDGES)
-    for i in range(6):
-        got = nds(g, i).tolist()
-        assert got == oracle.nds(adj, i)
-        assert got == sorted(got)
 
 
 def test_degree_support_d2_example():

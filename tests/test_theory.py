@@ -9,13 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hiercomp import theory
 from hiercomp.theory import (
     BinomialDistribution,
     UniformDistribution,
     corollary_bound,
-    gaussian_pmf_at_quantile,
     nhc_global_approx,
-    nhc_k_approx,
     order_stat_sigma,
 )
 
@@ -148,14 +147,14 @@ def test_nhc_k_approx_against_monte_carlo():
         if 10 in rep.per_degree:
             vals.append(rep.per_degree[10][1])
     mc = float(np.mean(vals))
-    assert nhc_k_approx(2000, 0.005, 10) == pytest.approx(mc, rel=0.25)
+    assert nhc_global_approx(2000, 0.005).per_degree[10] == pytest.approx(mc, rel=0.25)
 
 
 def test_nhc_k_approx_doubling_scaling():
     """Denominator n(n-1) quadruples; the summed 1/pmf terms grow ~sqrt(2)
     as the degree law widens, leaving a net ratio near 2*sqrt(2)."""
     for n, p, k in ((2000, 0.005, 10), (4000, 0.003, 12), (1000, 0.01, 10)):
-        ratio = nhc_k_approx(n, p, k) / nhc_k_approx(2 * n, p, k)
+        ratio = nhc_global_approx(n, p).per_degree[k] / nhc_global_approx(2 * n, p).per_degree[k]
         assert 2.5 < ratio < 3.2
 
 
@@ -202,11 +201,8 @@ def test_dropped_term_counter_via_stub_distribution():
             arr = np.asarray(x, dtype=np.float64)
             return np.where(arr < 5, 1e-310, 0.5)
 
-        def cdf(self, x):
-            return np.clip(np.asarray(x, dtype=np.float64) / 100, 0.0, 1.0)
-
-    approx = nhc_global_approx(50, 0.1, dist=TinyTail())
-    assert approx.dropped_terms > 0
+    # at k = 50 the quantiles of i/51 for i = 1, 2 are 2 and 4, where the pmf underflows
+    assert theory._sigma_sum(50, TinyTail())[1] == 2
 
 
 def test_corollary_bound_dominates_estimate():
@@ -225,22 +221,3 @@ def test_corollary_bound_validation():
     with pytest.raises(ValueError, match="n must be"):
         corollary_bound(1, 0.5)
 
-
-def test_gaussian_shortcut_tracks_exact_pmf_mid_range():
-    """The 4u(1-u) chain is tight in the middle and ~18-23% light in the
-    tails (it sits below the true normal density already at u=0.1)."""
-    for n, p in ((1000, 0.1), (5000, 0.1), (1000, 0.5), (5000, 0.5)):
-        dist = BinomialDistribution(n - 1, p)
-        for u in np.arange(0.20, 0.8001, 0.05):
-            exact = dist.pmf(dist.quantile(float(u)))
-            assert gaussian_pmf_at_quantile(n, p, float(u)) == pytest.approx(exact, rel=0.15)
-        for u in (0.1, 0.9):
-            exact = dist.pmf(dist.quantile(u))
-            assert gaussian_pmf_at_quantile(n, p, u) == pytest.approx(exact, rel=0.25)
-
-
-def test_gaussian_shortcut_validation():
-    with pytest.raises(ValueError, match="u must lie"):
-        gaussian_pmf_at_quantile(100, 0.1, 0.0)
-    with pytest.raises(ValueError, match="p must lie"):
-        gaussian_pmf_at_quantile(100, 1.0, 0.5)

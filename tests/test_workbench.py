@@ -54,18 +54,6 @@ def test_matrixmarket_banner_and_size_line(tmp_path):
     )
     g = read_edgelist(p)
     assert (g.n, g.m) == (4, 3)
-    # the same body parses identically when forced via the hint
-    p2 = tmp_path / "g2.txt"
-    p2.write_text("4 4 3\n1 2\n2 3 1.0\n3 4 1.0\n")
-    g2 = read_edgelist(p2, format_hint="matrixmarket")
-    assert np.array_equal(g2.edge_array(), g.edge_array())
-
-
-def test_unknown_format_hint_rejected(tmp_path):
-    p = tmp_path / "g.txt"
-    p.write_text("1 2\n")
-    with pytest.raises(ValueError, match="format_hint 'mtx'"):
-        read_edgelist(p, format_hint="mtx")
 
 
 def test_nodes_hint_retains_isolated_nodes(tmp_path):
@@ -113,10 +101,10 @@ _LINE_KINDS = ["pair"] * 4 + ["triple"] * 2 + ["bad", "comment", "hint", "blank"
 
 @st.composite
 def edge_list_files(draw):
-    """Text and format hint of a file mixing every construct the reader knows:
-    a MatrixMarket banner, size and value lines, '#'/'%' comments, '# nodes:'
-    hints, blank lines, self-loops, duplicate and reversed pairs, and lines
-    with the wrong number of tokens, over every ASCII separator and line end."""
+    """Text of a file mixing every construct the reader knows: a MatrixMarket
+    banner, size and value lines, '#'/'%' comments, '# nodes:' hints, blank
+    lines, self-loops, duplicate and reversed pairs, and lines with the wrong
+    number of tokens, over every ASCII separator and line end."""
     lines = []
     if draw(st.booleans()):
         lines.append(draw(_PAD) + "%%MatrixMarket matrix coordinate pattern symmetric")
@@ -139,27 +127,26 @@ def edge_list_files(draw):
     text = "".join(line + draw(_END) for line in lines)
     if text and draw(st.booleans()):
         text = text.rstrip("\r\n")  # no line end after the last line
-    return text, draw(st.sampled_from([None, "matrixmarket"]))
+    return text
 
 
 @given(edge_list_files())
-@example(("1 2 3\n1 2\n", None))  # a size line only counts in MatrixMarket
-@example(("%%MatrixMarket\n1 2\n2 3 1.0\n", None))  # no size line: 2 tokens first
-@example(("# nodes: 0\n", None))
+@example("1 2 3\n1 2\n")  # a size line only counts in MatrixMarket
+@example("%%MatrixMarket\n1 2\n2 3 1.0\n")  # no size line: 2 tokens first
+@example("# nodes: 0\n")
 @settings(max_examples=400, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-def test_reader_matches_line_by_line_oracle(tmp_path, case):
-    text, format_hint = case
+def test_reader_matches_line_by_line_oracle(tmp_path, text):
     path = tmp_path / "case.txt"
     path.write_text(text, encoding="utf-8", newline="")  # the line ends reach the reader
     try:
-        labels, n, edges = oracle.read_edgelist_naive(path, format_hint)
+        labels, n, edges = oracle.read_edgelist_naive(path)
     except ValueError as exc:
         with pytest.raises(ValueError) as info:
-            read_edgelist(path, format_hint=format_hint)
+            read_edgelist(path)
         assert str(info.value) == str(exc)
         return
-    g = read_edgelist(path, format_hint=format_hint)
+    g = read_edgelist(path)
     assert (g.labels, g.n, g.m) == (labels, n, len(edges))
     assert set(map(tuple, g.edge_array().tolist())) == edges
 
