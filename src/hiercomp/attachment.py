@@ -18,10 +18,9 @@ so a step costs a search per new edge and one copy of the arrays, not a
 sort of every edge, and the grown graph keeps its codes.  A sweep carries
 the shared-neighbour pairs and counts from step to step: ``add_edges``
 updates them from D, by (A + D)^2 = A^2 + DA + AD + D^2, and they start
-from one ``A @ A`` per base graph, kept read-only so that the similarity
-and combined sweeps of one base share it.  The counts are exact integers,
-so each step sees the weights a rebuild would give.  Each weighting has
-one draw, used at every n:
+from one ``A @ A`` of the sweep's base graph.  The counts are exact
+integers, so each step sees the weights a rebuild would give.  Each
+weighting has one draw, used at every n:
 
 * uniform (random, top-ups, fallbacks): distinct ranks among the open pairs,
   mapped to pair codes in O(m + count) without listing them;
@@ -34,7 +33,6 @@ one draw, used at every n:
 from __future__ import annotations
 
 import logging
-import weakref
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -98,25 +96,13 @@ def _find(a: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return pos, a[pos.clip(max=a.size - 1)] == x
 
 
-# graph -> the codes and counts of its shared-neighbour pairs, read-only, so
-# that the similarity and combined sweeps of one base build them once; the
-# one entry goes with its graph or at the next graph's build, so a driver
-# that holds all its bases holds one base's pairs
-_BUILT: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
 class _SharedPairs:
     """The non-adjacent pairs of a graph with >= 1 shared neighbour: their
     ascending ``codes`` and shared ``counts`` (exact integers in float64).
-    They start from one ``A @ A`` per graph, kept read-only in a memo;
-    ``add_edges`` grows them into new arrays."""
+    They start from one ``A @ A``; ``add_edges`` grows them."""
 
     def __init__(self, g: Graph) -> None:
-        built = _BUILT.get(g)
-        if built is None:
-            _BUILT.clear()
-            built = _BUILT[g] = self._build(g)
-        self.codes, self.counts = built
+        self.codes, self.counts = self._build(g)
 
     @staticmethod
     def _build(g: Graph) -> tuple[np.ndarray, np.ndarray]:
@@ -140,10 +126,7 @@ class _SharedPairs:
         codes, counts = codes[order], counts[order]
         del order
         pos, edge = _find(codes, g.codes())  # drop the pairs that are edges
-        codes, counts = np.delete(codes, pos[edge]), np.delete(counts, pos[edge])
-        codes.setflags(write=False)
-        counts.setflags(write=False)
-        return codes, counts
+        return np.delete(codes, pos[edge]), np.delete(counts, pos[edge])
 
     def weights(self, g: Graph, mechanism: str) -> np.ndarray:
         """The Jaccard overlap (similarity) or the shared count (combined)
@@ -169,8 +152,7 @@ class _SharedPairs:
         codes ``new`` (u < v, any order), where ``codes`` are h's ascending
         edge codes: (A + D)^2 = A^2 + DA + AD + D^2, so a pair gains one
         count per two-hop path through a new edge.  Each array is replaced
-        as soon as its update is ready, so the old one can go; only fresh
-        copies are written in place, so the memoised arrays stay as built."""
+        as soon as its update is ready, so the old one can go."""
         n = g.n
         # each new edge from both ends, ascending
         centre, outer = np.divmod(np.sort(np.concatenate((new, new % n * n + new // n))), n)

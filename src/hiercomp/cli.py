@@ -43,8 +43,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="draw a model graph, write its edge list")
     p.add_argument("--family", required=True, choices=FAMILIES)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--p", type=float, default=None, help="edge probability (er)")
-    p.add_argument("--density", type=float, default=None, help="target density")
+    target = p.add_mutually_exclusive_group()
+    target.add_argument("--p", type=float, default=None, help="edge probability (er)")
+    target.add_argument("--density", type=float, default=None, help="target density")
     p.add_argument("--dims", type=int, default=3)
     p.add_argument("--mu", type=float, default=0.0, help="lognormal location")
     p.add_argument("--sigma", type=float, default=0.2, help="lognormal scale")

@@ -289,21 +289,6 @@ def _edge_lines(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return text
 
 
-def _average_ranks(v: np.ndarray) -> np.ndarray:
-    order = np.argsort(v, kind="stable")
-    sv = v[order]
-    new = np.empty(v.size, dtype=bool)
-    new[0] = True
-    np.not_equal(sv[1:], sv[:-1], out=new[1:])
-    group = np.cumsum(new) - 1
-    firsts = np.flatnonzero(new)
-    counts = np.diff(np.append(firsts, v.size))
-    avg = firsts + (counts + 1) / 2.0  # 1-based average rank of each tie group
-    ranks = np.empty(v.size, dtype=np.float64)
-    ranks[order] = avg[group]
-    return ranks
-
-
 def spearman(x, y) -> tuple[float, float]:
     """Rank correlation with average ranks for ties, and the two-sided p
     from the t transform on n-2 degrees of freedom."""
@@ -314,15 +299,16 @@ def spearman(x, y) -> tuple[float, float]:
     n = x.size
     if n < 3:
         raise ValueError("need at least 3 observations")
+    for name, v in (("x", x), ("y", y)):
+        if np.isnan(v).any():
+            raise ValueError(f"{name} holds NaN, which has no rank")
     if np.all(x == x[0]) or np.all(y == y[0]):
         raise ValueError("constant input")
-    rx = _average_ranks(x)
-    ry = _average_ranks(y)
-    rho = _pearson(rx, ry)
+    from scipy.stats import rankdata, t as student_t  # slow to import, and only needed here
+
+    rho = _pearson(rankdata(x), rankdata(y))
     if abs(rho) >= 1.0:
         return (max(-1.0, min(1.0, rho)), 0.0)
-    from scipy.stats import t as student_t  # slow to import, and only needed here
-
     tval = rho * math.sqrt((n - 2) / (1.0 - rho * rho))
     p = 2.0 * float(student_t.sf(abs(tval), n - 2))
     return rho, p

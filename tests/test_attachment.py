@@ -427,26 +427,20 @@ def test_carried_pairs_step_of_zero_edges():
     assert np.array_equal(pairs.codes, codes) and np.array_equal(pairs.counts, counts)
 
 
-def test_one_a_squared_per_base_graph(monkeypatch):
-    """The similarity and combined sweeps of one base build its pairs once,
-    and the kept arrays are read-only and unchanged by the sweeps."""
+def test_a_sweep_builds_its_base_pairs_once(monkeypatch):
+    """A similarity or combined sweep builds its base's pairs once, not per
+    step, and a second sweep of the same base builds its own; random and
+    hierarchical sweeps build none."""
     g = gen_rhgg(200, 0.03, 4)
     builds = []
     build = _SharedPairs._build
     monkeypatch.setattr(_SharedPairs, "_build", staticmethod(lambda h: builds.append(h) or build(h)))
-    first = _SharedPairs(g)
-    codes, counts = first.codes.copy(), first.counts.copy()
-    for mechanism in ("similarity", "combined"):
-        density_sweep(g, mechanism, (0.0, 0.1, 0.2), seed=1)
-    assert builds == [g]
-    kept = _SharedPairs(g)
-    assert np.array_equal(kept.codes, codes) and np.array_equal(kept.counts, counts)
-    with pytest.raises(ValueError):
-        kept.counts[:1] += 1.0
-    other = gen_rhgg(200, 0.03, 5)
-    _SharedPairs(other)
-    _SharedPairs(g)  # the next graph's build replaced g's pairs
-    assert builds == [g, other, g]
+    for mechanism in ("similarity", "combined", "random", "hierarchical"):
+        builds.clear()
+        steps = density_sweep(g, mechanism, (0.0, 0.1, 0.2), seed=1)
+        assert steps[0].edge_count < steps[1].edge_count < steps[2].edge_count
+        shared = mechanism in ("similarity", "combined")
+        assert [h is g for h in builds] == ([True] if shared else []), mechanism
 
 
 def per_step_sweep(g, mechanism, fractions, seed):

@@ -70,6 +70,16 @@ def test_generate_requires_target(tmp_path, capsys):
     assert "one of --p / --density" in capsys.readouterr().err
 
 
+def test_generate_rejects_both_p_and_density(tmp_path, capsys):
+    out = tmp_path / "x.txt"
+    with pytest.raises(SystemExit) as exc:
+        main(["generate", "--family", "er", "--n", "10", "--p", "0.1", "--density", "0.9",
+              "--output", str(out)])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_generate_rhg_with_degree_file(tmp_path, capsys):
     degs = tmp_path / "degrees.txt"
     degs.write_text("3 3 2 2 1 1\n")

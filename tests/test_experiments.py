@@ -9,7 +9,8 @@ import json
 import pytest
 
 from hiercomp.experiments import (
-    EXPERIMENTS, RunManifest, _csv_text, rank_directory, run_experiment,
+    EXPERIMENTS, RunManifest, _attachment_task, _csv_text, _fig5_bases, rank_directory,
+    run_experiment,
 )
 from hiercomp.generators import child_seed, gen_er
 from hiercomp.workbench import write_edgelist
@@ -238,6 +239,20 @@ def test_fig5_rows(tmp_path):
         for mech in ("random", "combined"):
             block = [int(r[3]) for r in rows if r[0] == base and r[1] == mech]
             assert block == sorted(block)
+
+
+def test_fig5_combined_rows_alone_or_after_similarity():
+    """No state passes between the sweeps of one base: its combined rows
+    are the same on a fresh copy of the base as right after its similarity
+    sweep in the same process."""
+    m = RunManifest(experiment="fig5", seed=0, n=300, base_count=1, base_density=0.03,
+                    fractions=(0.0, 0.05, 0.1), mechanisms=("similarity", "combined"))
+    [(base_id, fresh)] = _fig5_bases(m)
+    alone = _attachment_task((m, 0, 1, base_id, fresh))
+    [(_, g)] = _fig5_bases(m)
+    _attachment_task((m, 0, 0, base_id, g))
+    assert _attachment_task((m, 0, 1, base_id, g)) == alone
+    assert alone[0][3] < alone[-1][3]
 
 
 def test_fig5_explicit_inputs(tmp_path):

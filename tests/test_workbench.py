@@ -270,6 +270,13 @@ def test_spearman_validation():
         spearman([1, 1, 1], [1, 2, 3])
 
 
+def test_spearman_rejects_nan():
+    with pytest.raises(ValueError, match="x holds NaN"):
+        spearman([1, 2, float("nan"), 4, 5], [1, 2, 3, 4, 5])
+    with pytest.raises(ValueError, match="y holds NaN"):
+        residual_correlation([1, 2, float("nan"), 4], [0.1, 0.3, 0.2, 0.5], [10, 20, 30, 40])
+
+
 @given(st.lists(st.integers(0, 6), min_size=4, max_size=12),
        st.lists(st.integers(0, 6), min_size=4, max_size=12))
 @settings(max_examples=80, deadline=None)
