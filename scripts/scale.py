@@ -146,7 +146,7 @@ def _attach(p: Point, side: str, work: Path, patch, timed):
 def _rebuilt(g, new):
     """What attachment's splice returns, by the full rebuild: one sort of
     both directions of every edge, and no kept codes."""
-    return graph.from_codes(g.n, np.sort(np.concatenate((g.codes(), new))), labels=g.labels)
+    return graph.from_codes(g.n, np.sort(np.concatenate((g.codes(), new))))
 
 
 def _fig5(p: Point, side: str, work: Path, patch, timed):

@@ -9,7 +9,6 @@ from .attachment import (
 )
 from .complexity import (
     ComplexityReport,
-    class_sigmas,
     complexity_report,
     nhc_alt_sqrtk,
     nhc_global,
@@ -30,8 +29,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Graph", "build_graph", "degree_support_d2", "component_count",
-    "class_sigmas", "nhc_global", "nhc_alt_sqrtk", "ComplexityReport",
-    "complexity_report",
+    "nhc_global", "nhc_alt_sqrtk", "ComplexityReport", "complexity_report",
     "ModelSpec", "gen_er", "gen_rgg", "gen_rhgg", "gen_config", "generate",
     "BinomialDistribution", "UniformDistribution", "order_stat_sigma",
     "nhc_global_approx", "corollary_bound", "TheoryApprox",

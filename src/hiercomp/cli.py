@@ -108,7 +108,8 @@ def _cmd_generate(args) -> int:
     g = generate(spec)
     write_edgelist(g, args.output)
     if g.m == 0:
-        print(f"warning: generated graph has no edges (target={target})", file=sys.stderr)
+        logging.getLogger("hiercomp.cli").warning("generated graph has no edges (target=%s)",
+                                                  target)
     print(f"wrote {args.output}: n={g.n} m={g.m}")
     return 0
 

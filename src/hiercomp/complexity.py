@@ -4,15 +4,15 @@ For each degree k held by at least two nodes, the ascending neighbourhood
 degree sequences of those nodes form an (ell x k) matrix.  One kernel
 computes the column standard deviations of every such matrix into one array,
 class after class in ascending k, with numpy's own ``std`` steps, so the
-bits are those of ``rows.std(axis=0)``; :func:`class_sigmas` yields each
-class's slice of it.  Every measure reads one table that reduces that array
-to (ell, sum of sds, sum of variances) per class by two reduceats; the table
-is built once per graph and kept while the graph lives, so fig2's measures
-and a report on one graph run the kernel once.  The unnormalised measure
-averages the column variances over k; the normalised variant sums column
-standard deviations and divides by (1 - density) * edge_count, which
-removes most of the size/density dependence.  Every standard deviation is
-the population one, as in numpy's ``std(axis=0)``.
+bits are those of ``rows.std(axis=0)``.  Every measure reads one table that
+reduces that array to (ell, sum of sds, sum of variances) per class by two
+reduceats; the table is built once per graph and kept while the graph
+lives, so fig2's measures and a report on one graph run the kernel once.
+The unnormalised measure averages the column variances over k; the
+normalised variant sums column standard deviations and divides by
+(1 - density) * edge_count, which removes most of the size/density
+dependence.  Every standard deviation is the population one, as in numpy's
+``std(axis=0)``.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from __future__ import annotations
 import logging
 import math
 import weakref
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +27,6 @@ import numpy as np
 from .graph import Graph, component_count, degree_support_d2
 
 __all__ = [
-    "class_sigmas",
     "nhc_global",
     "nhc_alt_sqrtk",
     "ComplexityReport",
@@ -36,19 +34,6 @@ __all__ = [
 ]
 
 log = logging.getLogger(__name__)
-
-
-def class_sigmas(g: Graph) -> Iterator[tuple[int, int, np.ndarray]]:
-    """Yield ``(k, class_size, sigma)`` for each degree class, ascending k.
-
-    The classes are the degrees k >= 1 held by at least two nodes.  ``sigma``
-    holds the k column standard deviations of the class's NDS matrix: one row
-    per degree-k node (ascending id), its neighbour degrees ascending.  The
-    sigmas are views of one array that :func:`_class_columns` fills.
-    """
-    ks, ells, cols, starts = _class_columns(g)
-    for k, ell, at in zip(ks.tolist(), ells.tolist(), starts.tolist()):
-        yield k, ell, cols[at + 1:at + 1 + k]
 
 
 def _class_columns(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

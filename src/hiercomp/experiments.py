@@ -15,9 +15,9 @@ Each task is a tuple that leads with the manifest ``m`` and reads every
 setting from it: ``(m, family, idx)`` for fig2, ``(m, i)`` for fig3's grid
 point i, ``(m, idx)`` for fig4 and ``(m, b, mech_idx, base_id, g)`` for fig5.
 
-Tasks fan out over processes when ``workers`` > 1 (or the
-HIERCOMP_WORKERS env var); per-realisation seeds are derived from
-(seed, family, index) so serial and parallel runs emit identical bytes.
+Tasks fan out over processes when ``workers`` > 1; per-realisation seeds
+are derived from (seed, family, index) so serial and parallel runs emit
+identical bytes.
 Each driver returns its files' names and texts, and ``run_experiment``
 makes the output directory only once they exist, so a run that fails
 leaves nothing behind.
@@ -29,7 +29,6 @@ import hashlib
 import json
 import math
 import numbers
-import os
 import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
@@ -149,12 +148,6 @@ class RunManifest:
         """
         return hashlib.sha256(replace(self, workers=0).canonical_json().encode()).hexdigest()
 
-    def resolved_workers(self) -> int:
-        if self.workers > 0:
-            return self.workers
-        env = os.environ.get("HIERCOMP_WORKERS", "")
-        return max(1, int(env)) if env.isdigit() else 1
-
 
 def _freeze(v):
     if isinstance(v, list):
@@ -220,7 +213,7 @@ def _model_sweep_task(task):
 
 def run_fig2(m: RunManifest) -> dict[str, str]:
     tasks = [(m, family, idx) for family in m.families for idx in range(m.realisations)]
-    rows = [row for rows in _pmap(_model_sweep_task, tasks, m.resolved_workers()) for row in rows]
+    rows = [row for rows in _pmap(_model_sweep_task, tasks, m.workers) for row in rows]
     return {"fig2.csv": _csv_text(
         ["family", "realisation", "n", "target_density", "density", "measure", "value"], rows)}
 
@@ -243,7 +236,7 @@ def _theory_point_task(task):
 
 
 def run_fig3(m: RunManifest) -> dict[str, str]:
-    rows = _pmap(_theory_point_task, [(m, i) for i in range(len(m.grid))], m.resolved_workers())
+    rows = _pmap(_theory_point_task, [(m, i) for i in range(len(m.grid))], m.workers)
     return {"fig3.csv": _csv_text(
         ["n", "p", "theory", "sim_mean", "sim_sd", "seeds", "rel_error"], rows)}
 
@@ -266,8 +259,7 @@ def _heterogeneity_task(task):
 
 
 def run_fig4(m: RunManifest) -> dict[str, str]:
-    results = _pmap(_heterogeneity_task, [(m, idx) for idx in range(m.realisations)],
-                    m.resolved_workers())
+    results = _pmap(_heterogeneity_task, [(m, idx) for idx in range(m.realisations)], m.workers)
     return {
         "fig4.csv": _csv_text(["realisation", "sigma", "target_density", "density", "value"],
                               [main for main, _ in results]),
@@ -305,7 +297,7 @@ def run_fig5(m: RunManifest) -> dict[str, str]:
     tasks = [(m, b, mech_idx, base_id, g)
              for b, (base_id, g) in enumerate(_fig5_bases(m))
              for mech_idx in range(len(m.mechanisms))]
-    rows = [row for rows in _pmap(_attachment_task, tasks, m.resolved_workers()) for row in rows]
+    rows = [row for rows in _pmap(_attachment_task, tasks, m.workers) for row in rows]
     return {"fig5.csv": _csv_text(["base", "mechanism", "fraction", "edges", "value"], rows)}
 
 

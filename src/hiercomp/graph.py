@@ -4,8 +4,8 @@ The central object of the package is the sorted list of neighbour degrees of
 a node (its neighbourhood degree sequence, NDS).  Adjacency is therefore kept
 as a CSR pair (indptr, indices) with neighbour ids sorted inside each row so
 that NDS extraction is a single gather plus sort over a contiguous slice;
-:func:`hiercomp.complexity.class_sigmas` does it for a whole degree class at
-once.
+the measure kernel in :mod:`hiercomp.complexity` does it for a whole degree
+class at once.
 
 Edge sets travel between modules in one format: ascending unique int64 pair
 codes ``u * n + v`` with u < v.  :func:`from_codes` builds a :class:`Graph`
@@ -69,16 +69,6 @@ class Graph:
         if self.n < 2:
             return 0.0
         return 2.0 * self.m / (self.n * (self.n - 1))
-
-    def neighbors(self, i: int) -> np.ndarray:
-        if not 0 <= i < self.n:
-            raise ValueError(f"node id {i} out of range for graph on {self.n} nodes")
-        return self.indices[self.indptr[i] : self.indptr[i + 1]]
-
-    def has_edge(self, i: int, j: int) -> bool:
-        row = self.neighbors(i)
-        pos = np.searchsorted(row, j)
-        return pos < row.size and row[pos] == j
 
     def codes(self) -> np.ndarray:
         """Ascending pair codes u * n + v (u < v) of the edges; read-only when
@@ -146,7 +136,7 @@ def sorted_unique(codes: np.ndarray) -> np.ndarray:
     return codes[keep]
 
 
-def from_codes(n: int, codes: np.ndarray, labels=None) -> Graph:
+def from_codes(n: int, codes: np.ndarray) -> Graph:
     """Graph on n nodes from ascending unique pair codes u * n + v, u < v.
 
     Each edge is written from both ends, u * n + v and v * n + u; one sort
@@ -166,8 +156,7 @@ def from_codes(n: int, codes: np.ndarray, labels=None) -> Graph:
     del lo, hi, reverse
     indices.sort()
     indices %= n
-    return Graph(n=n, m=int(codes.size), indptr=indptr, indices=indices,
-                 degrees=degrees, labels=labels)
+    return Graph(n=n, m=int(codes.size), indptr=indptr, indices=indices, degrees=degrees)
 
 
 def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -178,9 +167,9 @@ def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 
 def _splice(g: Graph, new: np.ndarray) -> Graph:
     """g plus the edges of ``new``, ascending unique codes of non-edges of g:
-    the graph ``from_codes(g.n, union, labels=g.labels)`` would build, with
-    no sort of g's entries.  Each new entry goes in at its rank within its
-    row, found by a search of the old entries of the rows it joins; the
+    the graph ``from_codes(g.n, union)`` would build, carrying g's labels,
+    with no sort of g's entries.  Each new entry goes in at its rank within
+    its row, found by a search of the old entries of the rows it joins; the
     union codes are kept for :meth:`Graph.codes`."""
     n = g.n
     lo, hi = np.divmod(new, n)

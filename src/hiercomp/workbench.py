@@ -299,9 +299,7 @@ def spearman(x, y) -> tuple[float, float]:
     n = x.size
     if n < 3:
         raise ValueError("need at least 3 observations")
-    for name, v in (("x", x), ("y", y)):
-        if np.isnan(v).any():
-            raise ValueError(f"{name} holds NaN, which has no rank")
+    _reject_nan(x=x, y=y)
     if np.all(x == x[0]) or np.all(y == y[0]):
         raise ValueError("constant input")
     from scipy.stats import rankdata, t as student_t  # slow to import, and only needed here
@@ -312,6 +310,12 @@ def spearman(x, y) -> tuple[float, float]:
     tval = rho * math.sqrt((n - 2) / (1.0 - rho * rho))
     p = 2.0 * float(student_t.sf(abs(tval), n - 2))
     return rho, p
+
+
+def _reject_nan(**vectors: np.ndarray) -> None:
+    for name, v in vectors.items():
+        if np.isnan(v).any():
+            raise ValueError(f"{name} holds NaN, which has no rank")
 
 
 def _pearson(a: np.ndarray, b: np.ndarray) -> float:
@@ -332,6 +336,7 @@ def residual_correlation(hc, density, n_nodes) -> tuple[float, float]:
     n_nodes = np.asarray(n_nodes, dtype=np.float64)
     if not (hc.shape == density.shape == n_nodes.shape) or hc.ndim != 1:
         raise ValueError("inputs must be equal-length 1-d vectors")
+    _reject_nan(hc=hc, density=density, n_nodes=n_nodes)
     if hc.size < 4:
         raise ValueError("need at least 4 observations")
     dx = n_nodes - n_nodes.mean()

@@ -364,7 +364,9 @@ def rejection_sample(g, count: int, rng, node_p=None, taken=None):
     uniform.  Pairs in ``taken`` are rejected like edges and earlier picks.
     """
     n = g.n
-    seen = set() if taken is None else set(taken.tolist())
+    seen = set(g.codes().tolist())  # the edges, then taken pairs and picks
+    if taken is not None:
+        seen.update(taken.tolist())
     out: list[int] = []
     batch = max(1024, 4 * count)
     draws = 0
@@ -382,7 +384,7 @@ def rejection_sample(g, count: int, rng, node_p=None, taken=None):
             jj = rng.integers(0, n, size=batch)
         for i, j in zip(ii.tolist(), jj.tolist()):
             code = i * n + j if i < j else j * n + i
-            if i == j or code in seen or g.has_edge(i, j):
+            if i == j or code in seen:
                 continue
             seen.add(code)
             out.append(code)

@@ -54,13 +54,15 @@ def test_generate_er(tmp_path, capsys):
 
 def test_generate_empty_graph_warns(tmp_path, capsys):
     out = tmp_path / "empty.txt"
-    assert main([
-        "generate", "--family", "er", "--n", "20", "--p", "0.0",
-        "--output", str(out),
-    ]) == 0
+    empty = ["generate", "--family", "er", "--n", "20", "--p", "0.0", "--output", str(out)]
+    assert main(empty) == 0
     captured = capsys.readouterr()
-    assert "warning: generated graph has no edges" in captured.err
+    assert "WARNING hiercomp.cli: generated graph has no edges (target=0.0)" in captured.err
     assert read_edgelist(out).m == 0
+    assert main(["--log-level", "ERROR", *empty]) == 0
+    captured = capsys.readouterr()
+    assert "no edges" not in captured.err
+    assert "m=0" in captured.out
 
 
 def test_generate_requires_target(tmp_path, capsys):

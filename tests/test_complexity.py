@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import oracle
 from hiercomp import complexity
-from hiercomp.complexity import class_sigmas, complexity_report, nhc_alt_sqrtk, nhc_global
+from hiercomp.complexity import complexity_report, nhc_alt_sqrtk, nhc_global
 from hiercomp.generators import gen_er, gen_rhgg
 from hiercomp.graph import build_graph, from_codes
 
@@ -36,6 +36,14 @@ def cycle_edges(n):
 
 def complete_edges(n):
     return [(i, j) for i in range(n) for j in range(i + 1, n)]
+
+
+def class_sigmas(g):
+    """``(k, class_size, sigma)`` per degree class, ascending k: the slices
+    of the kernel's one array of column sds."""
+    ks, ells, cols, starts = complexity._class_columns(g)
+    return [(k, ell, cols[at + 1:at + 1 + k])
+            for k, ell, at in zip(ks.tolist(), ells.tolist(), starts.tolist())]
 
 
 def test_sixnode_frozen_values():

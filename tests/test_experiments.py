@@ -5,9 +5,11 @@ from __future__ import annotations
 import csv
 import io
 import json
+from unittest import mock
 
 import pytest
 
+from hiercomp import experiments
 from hiercomp.experiments import (
     EXPERIMENTS, RunManifest, _attachment_task, _csv_text, _fig5_bases, rank_directory,
     run_experiment,
@@ -137,16 +139,11 @@ def test_canonical_json_is_stable():
     assert keys == sorted(keys)
 
 
-def test_resolved_workers_env_override(monkeypatch):
-    m = small_fig2()
-    monkeypatch.delenv("HIERCOMP_WORKERS", raising=False)
-    assert m.resolved_workers() == 1
+def test_workers_environment_variable_is_ignored(monkeypatch, tmp_path):
+    # the manifest's workers alone fans tasks out, whatever the environment holds
     monkeypatch.setenv("HIERCOMP_WORKERS", "3")
-    assert m.resolved_workers() == 3
-    monkeypatch.setenv("HIERCOMP_WORKERS", "junk")
-    assert m.resolved_workers() == 1
-    explicit = RunManifest(experiment="fig2", workers=2)
-    assert explicit.resolved_workers() == 2
+    with mock.patch.object(experiments, "ProcessPoolExecutor", side_effect=AssertionError):
+        run_experiment(small_fig2(), tmp_path)
 
 
 def test_experiment_registry_names():

@@ -273,8 +273,12 @@ def test_spearman_validation():
 def test_spearman_rejects_nan():
     with pytest.raises(ValueError, match="x holds NaN"):
         spearman([1, 2, float("nan"), 4, 5], [1, 2, 3, 4, 5])
-    with pytest.raises(ValueError, match="y holds NaN"):
-        residual_correlation([1, 2, float("nan"), 4], [0.1, 0.3, 0.2, 0.5], [10, 20, 30, 40])
+    hc, density, n_nodes = [1, 2, 3, 4], [0.1, 0.3, 0.2, 0.5], [10, 20, 30, 40]
+    for name, args in (("hc", ([1, 2, float("nan"), 4], density, n_nodes)),
+                       ("density", (hc, [0.1, float("nan"), 0.2, 0.5], n_nodes)),
+                       ("n_nodes", (hc, density, [10, 20, float("nan"), 40]))):
+        with pytest.raises(ValueError, match=f"^{name} holds NaN"):
+            residual_correlation(*args)
 
 
 @given(st.lists(st.integers(0, 6), min_size=4, max_size=12),
